@@ -7,7 +7,7 @@
 //! cargo run --release -p golf-bench --bin expansion_costs [-- --sizes 8,16,32,64]
 //! ```
 
-use golf_bench::{arg_value, parse_list};
+use golf_bench::{arg_value, or_usage, parse_list};
 use golf_core::{ExpansionStrategy, GcEngine, GcMode, GolfConfig};
 use golf_metrics::{Align, Table};
 use golf_runtime::{FuncBuilder, ProgramSet, Vm, VmConfig};
@@ -56,7 +56,9 @@ fn chain_program(n: i64) -> ProgramSet {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let sizes = arg_value(&args, "--sizes").map(|v| parse_list(&v)).unwrap_or(vec![8, 16, 32, 64]);
+    let sizes = arg_value(&args, "--sizes")
+        .map(|v| or_usage(parse_list(&v), "usage: expansion_costs [--sizes <n,n,...>]"))
+        .unwrap_or(vec![8, 16, 32, 64]);
 
     println!("Root-expansion strategy costs on an n-link daisy chain + n orphans (§5.3)\n");
     let mut t = Table::new(vec![

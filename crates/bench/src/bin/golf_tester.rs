@@ -14,38 +14,44 @@
 //! | (GOMAXPROCS sweep)  | `--procs 1,2,4,10`                    |
 //! | (no equivalent)     | `--trace <path>` (JSONL event trace)  |
 //! | (no equivalent)     | `--seed <n>` (base seed)              |
-//! | (no equivalent)     | `--mark-workers <n>` (parallel mark)  |
-//! | (no equivalent)     | `--shard-bits <n>` (heap shard size)  |
 //! | (no equivalent)     | `--full-gc` (disable incremental GC)  |
 //! | (no equivalent)     | `--no-barrier` (disable write barrier)|
+//!
+//! Any other argument, a flag without its value, or a value that does not
+//! parse is a usage error (exit status 2).
 //!
 //! ```text
 //! cargo run --release -p golf-bench --bin golf_tester -- \
 //!     --match cockroach --repeats 20 --report results.txt
 //! ```
 
-use golf_bench::{arg_value, parse_list};
-use golf_core::{GolfConfig, MarkConfig};
+use golf_bench::{arg_value, check_flags, or_usage, parse_arg, parse_list};
+use golf_core::GolfConfig;
 use golf_micro::{corpus, run_perf_comparison, PerfSettings, Table1Config};
 use golf_trace::SharedJsonlSink;
 
+const USAGE: &str = "usage: golf_tester [--match <pattern>] [--repeats <n>] [--procs <n,n,...>] \
+[--seed <n>] [--report <path>] [--trace <path>] [--perf] [--full-gc] [--no-barrier]";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let repeats: u32 = arg_value(&args, "--repeats").and_then(|v| v.parse().ok()).unwrap_or(100);
-    let procs = arg_value(&args, "--procs").map(|v| parse_list(&v)).unwrap_or(vec![1, 2, 4, 10]);
+    or_usage(
+        check_flags(
+            &args,
+            &["--match", "--repeats", "--procs", "--seed", "--report", "--trace"],
+            &["--perf", "--full-gc", "--no-barrier"],
+        ),
+        USAGE,
+    );
+    let repeats: u32 = or_usage(parse_arg(&args, "--repeats"), USAGE).unwrap_or(100);
+    let procs = arg_value(&args, "--procs")
+        .map(|v| or_usage(parse_list(&v), USAGE))
+        .unwrap_or(vec![1, 2, 4, 10]);
     let pattern = arg_value(&args, "--match");
     let report_path = arg_value(&args, "--report");
     let perf_mode = args.iter().any(|a| a == "--perf");
-    let base_seed: u64 = arg_value(&args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(Table1Config::default().base_seed);
-    let mut mark = MarkConfig::default();
-    if let Some(w) = arg_value(&args, "--mark-workers").and_then(|v| v.parse().ok()) {
-        mark.workers = w;
-    }
-    if let Some(b) = arg_value(&args, "--shard-bits").and_then(|v| v.parse().ok()) {
-        mark.shard_bits = b;
-    }
+    let base_seed: u64 =
+        or_usage(parse_arg(&args, "--seed"), USAGE).unwrap_or(Table1Config::default().base_seed);
     // Incremental cycles are on by default; --full-gc forces every cycle to
     // re-mark from scratch, --no-barrier additionally stops the heap from
     // recording dirty shards (which implies full cycles: quiescence cannot
@@ -112,7 +118,7 @@ fn main() {
         procs
     );
     eprintln!(
-        "golf-tester: seeds — root {base_seed:#x}, table1 stream {:#x}, per-VM mark stream via seed_for(vm_seed, \"mark\")",
+        "golf-tester: seeds — root {base_seed:#x}, table1 stream {:#x}",
         golf_runtime::seed_for(base_seed, "table1"),
     );
     let table = golf_micro::run_table1_on(
@@ -122,7 +128,6 @@ fn main() {
             runs: repeats,
             trace,
             base_seed,
-            mark,
             golf,
             barrier,
             ..Table1Config::default()

@@ -7,20 +7,21 @@
 //! cargo run --release -p golf-bench --bin run_all [-- --out results --quick]
 //! ```
 //!
-//! `--quick` trades statistical resolution for a fast smoke run (Table 1 at
-//! 10 repetitions instead of 100, shorter service windows). `--seed <n>`
-//! sets the root seed; per-component streams (Table 1 runs, mark engine,
-//! exploration strategies) derive from it via `golf_runtime::seed_for` and
-//! the effective streams are printed in the run header. `--trace <path>`
-//! streams a structured JSONL execution trace of the Table 1 sweep.
-//! `--mark-workers <n>` / `--shard-bits <n>` configure the sharded parallel
-//! mark engine for the Table 1 sweep (results are identical for every
-//! worker count; only modeled mark-phase cost changes). `--full-gc`
-//! disables incremental cycle replay and `--no-barrier` disables the
-//! dirty-shard write barrier; both leave every result byte-identical and
-//! only change the modeled steady-state GC cost.
+//! | flag            | effect                                                  |
+//! |-----------------|---------------------------------------------------------|
+//! | `--out <dir>`   | output directory (default `results`)                    |
+//! | `--quick`       | fast smoke run: Table 1 at 10 repetitions instead of 100, shorter service windows |
+//! | `--seed <n>`    | root seed; per-component streams (Table 1 runs, exploration strategies) derive from it via `golf_runtime::seed_for` and are printed in the run header |
+//! | `--trace <path>`| stream a structured JSONL execution trace of the Table 1 sweep |
+//! | `--full-gc`     | disable incremental cycle replay                        |
+//! | `--no-barrier`  | disable the dirty-shard write barrier                   |
+//!
+//! `--full-gc` and `--no-barrier` leave every result byte-identical and
+//! only change the modeled steady-state GC cost. Any other argument, a flag
+//! without its value, or a value that does not parse is a usage error
+//! (exit status 2).
 
-use golf_bench::arg_value;
+use golf_bench::{arg_value, check_flags, or_usage, parse_arg};
 use golf_metrics::BoxPlot;
 use golf_micro::{run_perf_comparison, run_table1, summarize_groups, PerfSettings, Table1Config};
 use golf_service::longrun::{run_longrun, sparkline, LongRunConfig};
@@ -37,26 +38,29 @@ fn save(dir: &Path, name: &str, content: &str) {
     eprintln!("run_all: wrote {}", path.display());
 }
 
+const USAGE: &str = "usage: run_all [--out <dir>] [--quick] [--seed <n>] [--trace <path>] \
+[--full-gc] [--no-barrier]";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    or_usage(
+        check_flags(
+            &args,
+            &["--out", "--seed", "--trace"],
+            &["--quick", "--full-gc", "--no-barrier"],
+        ),
+        USAGE,
+    );
     let out = arg_value(&args, "--out").unwrap_or_else(|| "results".into());
     let quick = args.iter().any(|a| a == "--quick");
-    let base_seed: u64 = arg_value(&args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(Table1Config::default().base_seed);
+    let base_seed: u64 =
+        or_usage(parse_arg(&args, "--seed"), USAGE).unwrap_or(Table1Config::default().base_seed);
     let trace = arg_value(&args, "--trace").map(|path| {
         let sink = golf_trace::SharedJsonlSink::create(&path)
             .unwrap_or_else(|e| panic!("run_all: cannot create trace file {path}: {e}"));
         eprintln!("run_all: streaming Table 1 trace to {path}");
         sink
     });
-    let mut mark = golf_core::MarkConfig::default();
-    if let Some(w) = arg_value(&args, "--mark-workers").and_then(|v| v.parse().ok()) {
-        mark.workers = w;
-    }
-    if let Some(b) = arg_value(&args, "--shard-bits").and_then(|v| v.parse().ok()) {
-        mark.shard_bits = b;
-    }
     let golf = golf_core::GolfConfig {
         incremental: !args.iter().any(|a| a == "--full-gc"),
         ..golf_core::GolfConfig::default()
@@ -76,7 +80,6 @@ fn main() {
     let table1 = run_table1(&Table1Config {
         runs: if quick { 10 } else { 100 },
         trace,
-        mark,
         golf,
         barrier,
         base_seed,

@@ -2,11 +2,10 @@
 //! liveness fixed point, deadlock reporting, finalizer-preserving recovery,
 //! and sweeping. This module is the reproduction of the paper's §4.2/§5.
 
-use crate::config::{ExpansionStrategy, GcMode, GolfConfig, MarkConfig};
+use crate::config::{ExpansionStrategy, GcMode, GolfConfig};
 use crate::forensics;
 use crate::hints::LivenessHint;
 use crate::mark::Marker;
-use crate::pmark::MarkEngine;
 use crate::report::DeadlockReport;
 use crate::stats::{GcCycleStats, GcTotals, PhaseEvent};
 use golf_runtime::{GStatus, Gid, Goroutine, Value, Vm};
@@ -27,8 +26,9 @@ struct CycleScratch {
     inert_sites: HashSet<Arc<str>>,
     in_roots: HashSet<Gid>,
     inert_gids: HashSet<Gid>,
-    work: Vec<golf_heap::Handle>,
-    children: Vec<golf_heap::Handle>,
+    marker: Marker,
+    /// Objects blackened by the current mark iteration (`FromMarked` only).
+    newly_marked: Vec<golf_heap::Handle>,
     added: Vec<Gid>,
 }
 
@@ -38,8 +38,8 @@ impl CycleScratch {
         self.inert_sites.clear();
         self.in_roots.clear();
         self.inert_gids.clear();
-        self.work.clear();
-        self.children.clear();
+        self.marker.reset();
+        self.newly_marked.clear();
         self.added.clear();
     }
 }
@@ -113,7 +113,6 @@ fn spawn_site_is_inert(vm: &Vm, sites: &HashSet<Arc<str>>, g: &Goroutine) -> boo
 pub struct GcEngine {
     mode: GcMode,
     golf: GolfConfig,
-    mark: MarkConfig,
     totals: GcTotals,
     history: Vec<GcCycleStats>,
     reports: Vec<DeadlockReport>,
@@ -133,7 +132,6 @@ impl GcEngine {
         GcEngine {
             mode,
             golf,
-            mark: MarkConfig::default(),
             totals: GcTotals::default(),
             history: Vec::new(),
             reports: Vec::new(),
@@ -143,17 +141,6 @@ impl GcEngine {
             caches: [None, None],
             cycles_replayed: 0,
         }
-    }
-
-    /// Configures the sharded parallel mark engine. Worker count, shard
-    /// size and steal bounds never change *what* is marked or reported —
-    /// only how the marking work is partitioned (and therefore the modeled
-    /// mark-phase critical path). Invalidates the incremental replay cache:
-    /// a cached cycle's worker-dependent stats (`mark_rounds`, `mark_span`)
-    /// are only valid for the config they were computed under.
-    pub fn set_mark_config(&mut self, mark: MarkConfig) {
-        self.mark = mark;
-        self.caches = [None, None];
     }
 
     /// Replaces the GOLF configuration (e.g. `--full-gc` turning
@@ -173,11 +160,6 @@ impl GcEngine {
     /// of being executed.
     pub fn cycles_replayed(&self) -> u64 {
         self.cycles_replayed
-    }
-
-    /// The current mark-engine configuration.
-    pub fn mark_config(&self) -> MarkConfig {
-        self.mark
     }
 
     /// A baseline collector (ordinary Go GC).
@@ -341,7 +323,6 @@ impl GcEngine {
         scratch.reset();
 
         // ---- Initialization ----
-        vm.heap_mut().set_shard_bits(self.mark.shard_bits);
         if vm.heap().dirty_tracking() {
             stats.dirty_shards = vm.heap().dirty_shard_count() as u64;
             if self.golf.trace_incremental && vm.trace_enabled() {
@@ -373,7 +354,7 @@ impl GcEngine {
             }
         }
 
-        let mut marker = MarkEngine::new(self.mark, vm.mark_seed());
+        let marker = &mut scratch.marker;
         for h in vm.runtime_root_handles() {
             if !scratch.inert_globals.contains(&h) {
                 marker.push_root(h);
@@ -405,150 +386,106 @@ impl GcEngine {
             vm.trace_emit(TraceEvent::GcPhaseBegin { cycle: cycle_no, phase: "mark" });
         }
         let mark_start = Instant::now();
-        if detection && self.golf.expansion == ExpansionStrategy::Incremental {
-            // §5.3's furthest variant: expand the root set *during* marking.
-            // One pass, no restarts; an object's waiters join the worklist
-            // the instant the object is blackened.
-            for h in vm.runtime_root_handles() {
-                if !scratch.inert_globals.contains(&h) {
-                    scratch.work.push(h);
-                }
-            }
-            for g in vm.live_goroutines() {
-                if scratch.in_roots.contains(&g.id) {
-                    for h in g.stack_roots() {
-                        scratch.work.push(h);
-                    }
-                }
-            }
-            while let Some(h) = scratch.work.pop() {
-                if !vm.heap_mut().try_mark(h) {
-                    continue;
-                }
-                stats.objects_marked += 1;
-                scratch.children.clear();
-                if let Some(obj) = vm.heap().get(h) {
-                    use golf_heap::Trace;
-                    obj.trace(&mut |child| scratch.children.push(child));
-                }
-                stats.pointer_traversals += scratch.children.len() as u64;
-                for &c in &scratch.children {
-                    if !c.is_masked() && !vm.heap().is_marked(c) {
-                        scratch.work.push(c);
-                    }
-                }
-                // On-the-fly root expansion.
-                for gid in vm.waiters_on(h) {
-                    stats.liveness_checks += 1;
-                    if scratch.in_roots.contains(&gid) || scratch.inert_gids.contains(&gid) {
-                        continue;
-                    }
-                    let candidate = vm.goroutine(gid).is_some_and(|g| g.deadlock_candidate());
-                    if candidate {
-                        scratch.in_roots.insert(gid);
-                        if let Some(g) = vm.goroutine(gid) {
-                            for root in g.stack_roots() {
-                                scratch.work.push(root);
-                            }
-                        }
-                    }
-                }
-            }
-            stats.mark_iterations = 1;
-            stats.mark_workers = 1;
-            stats.phases.push(PhaseEvent::MarkIteration {
-                iteration: 1,
-                newly_marked: stats.objects_marked,
-            });
-        } else {
-            loop {
-                stats.mark_iterations += 1;
-                let newly = marker.drain(vm.heap_mut());
-                stats.phases.push(PhaseEvent::MarkIteration {
-                    iteration: stats.mark_iterations,
-                    newly_marked: newly,
-                });
-                if !detection {
-                    break;
-                }
-                // Root expansion (paper §4.2 step 3): a blocked goroutine whose
-                // B(g) intersects the marked heap is reachably live.
-                scratch.added.clear();
-                match self.golf.expansion {
-                    // Incremental expansion happens inside the single-pass
-                    // marking loop above; unreachable here.
-                    ExpansionStrategy::Incremental => {
-                        unreachable!("handled by the single-pass loop")
-                    }
-                    ExpansionStrategy::Rescan => {
-                        for g in vm.live_goroutines() {
-                            if scratch.in_roots.contains(&g.id)
-                                || scratch.inert_gids.contains(&g.id)
-                                || !g.deadlock_candidate()
+        let expansion = detection.then_some(self.golf.expansion);
+        loop {
+            stats.mark_iterations += 1;
+            let before = marker.marked;
+            while let Some(h) = marker.step(vm.heap_mut()) {
+                match expansion {
+                    Some(ExpansionStrategy::FromMarked) => scratch.newly_marked.push(h),
+                    // §5.3's furthest variant: expand the root set *during*
+                    // marking. An object's waiters join the worklist the
+                    // instant the object is blackened, so one pass reaches
+                    // the fixed point.
+                    Some(ExpansionStrategy::Incremental) => {
+                        for gid in vm.waiters_on(h) {
+                            stats.liveness_checks += 1;
+                            if scratch.in_roots.contains(&gid) || scratch.inert_gids.contains(&gid)
                             {
                                 continue;
                             }
-                            let mut live = false;
-                            for &o in g.blocked.handles() {
-                                stats.liveness_checks += 1;
-                                // `is_marked` is false for stale handles too; all
-                                // our concurrency objects are heap-tracked, so
-                                // there is no "not on the heap ⇒ conservatively
-                                // reachable" case (globals are heap objects
-                                // reached via the root scan).
-                                if vm.heap().is_marked(o) {
-                                    live = true;
-                                    break;
-                                }
-                            }
-                            if live {
-                                scratch.added.push(g.id);
-                            }
-                        }
-                    }
-                    ExpansionStrategy::FromMarked => {
-                        // §5.3: only the wait queues of objects marked in the
-                        // last iteration can yield newly-live goroutines.
-                        for h in marker.take_newly_marked() {
-                            for gid in vm.waiters_on(h) {
-                                stats.liveness_checks += 1;
-                                if scratch.in_roots.contains(&gid)
-                                    || scratch.inert_gids.contains(&gid)
-                                    || scratch.added.contains(&gid)
-                                {
-                                    continue;
-                                }
-                                let candidate =
-                                    vm.goroutine(gid).is_some_and(|g| g.deadlock_candidate());
-                                if candidate {
-                                    scratch.added.push(gid);
+                            if let Some(g) = vm.goroutine(gid).filter(|g| g.deadlock_candidate()) {
+                                scratch.in_roots.insert(gid);
+                                for root in g.stack_roots() {
+                                    marker.push_root(root);
                                 }
                             }
                         }
                     }
+                    Some(ExpansionStrategy::Rescan) | None => {}
                 }
-                if scratch.added.is_empty() {
-                    break;
-                }
-                for gid in &scratch.added {
-                    scratch.in_roots.insert(*gid);
-                    if let Some(g) = vm.goroutine(*gid) {
-                        for h in g.stack_roots() {
-                            marker.push_root(h);
-                        }
-                    }
-                }
-                stats
-                    .phases
-                    .push(PhaseEvent::RootExpansion { goroutines_added: scratch.added.len() });
             }
-            stats.objects_marked = marker.marked();
-            stats.pointer_traversals = marker.traversals();
-            stats.mark_workers = marker.workers() as u32;
-            stats.mark_rounds = marker.rounds();
-            stats.mark_steals = marker.steals();
-            stats.mark_span = marker.span();
+            stats.phases.push(PhaseEvent::MarkIteration {
+                iteration: stats.mark_iterations,
+                newly_marked: marker.marked - before,
+            });
+            // Root expansion (paper §4.2 step 3): a blocked goroutine whose
+            // B(g) intersects the marked heap is reachably live.
+            scratch.added.clear();
+            match expansion {
+                None | Some(ExpansionStrategy::Incremental) => break,
+                Some(ExpansionStrategy::Rescan) => {
+                    for g in vm.live_goroutines() {
+                        if scratch.in_roots.contains(&g.id)
+                            || scratch.inert_gids.contains(&g.id)
+                            || !g.deadlock_candidate()
+                        {
+                            continue;
+                        }
+                        let mut live = false;
+                        for &o in g.blocked.handles() {
+                            stats.liveness_checks += 1;
+                            // `is_marked` is false for stale handles too; all
+                            // our concurrency objects are heap-tracked, so
+                            // there is no "not on the heap ⇒ conservatively
+                            // reachable" case (globals are heap objects
+                            // reached via the root scan).
+                            if vm.heap().is_marked(o) {
+                                live = true;
+                                break;
+                            }
+                        }
+                        if live {
+                            scratch.added.push(g.id);
+                        }
+                    }
+                }
+                Some(ExpansionStrategy::FromMarked) => {
+                    // §5.3: only the wait queues of objects marked in the
+                    // last iteration can yield newly-live goroutines.
+                    for h in scratch.newly_marked.drain(..) {
+                        for gid in vm.waiters_on(h) {
+                            stats.liveness_checks += 1;
+                            if scratch.in_roots.contains(&gid)
+                                || scratch.inert_gids.contains(&gid)
+                                || scratch.added.contains(&gid)
+                            {
+                                continue;
+                            }
+                            let candidate =
+                                vm.goroutine(gid).is_some_and(|g| g.deadlock_candidate());
+                            if candidate {
+                                scratch.added.push(gid);
+                            }
+                        }
+                    }
+                }
+            }
+            if scratch.added.is_empty() {
+                break;
+            }
+            for gid in &scratch.added {
+                scratch.in_roots.insert(*gid);
+                if let Some(g) = vm.goroutine(*gid) {
+                    for h in g.stack_roots() {
+                        marker.push_root(h);
+                    }
+                }
+            }
+            stats.phases.push(PhaseEvent::RootExpansion { goroutines_added: scratch.added.len() });
         }
+        stats.objects_marked = marker.marked;
+        stats.pointer_traversals = marker.traversals;
         stats.mark_ns = mark_start.elapsed().as_nanos() as u64;
         stats.phases.push(PhaseEvent::MarkDone);
         // The marked count *before* the inert/preserved re-mark passes —
@@ -560,20 +497,6 @@ impl GcEngine {
                 phase: "mark",
                 count: stats.objects_marked,
             });
-            // Per-worker detail is opt-in: it depends on the worker count,
-            // so emitting it by default would break the traces-identical-
-            // across-worker-counts guarantee the determinism CI job checks.
-            if self.mark.trace_workers {
-                for (i, ws) in marker.worker_stats().iter().enumerate() {
-                    vm.trace_emit(TraceEvent::GcMarkWorker {
-                        cycle: cycle_no,
-                        worker: i as u32,
-                        marked: ws.marked,
-                        traversals: ws.traversals,
-                        steals: ws.steals,
-                    });
-                }
-            }
         }
 
         // ---- Deadlock detection & recovery ----
@@ -641,7 +564,7 @@ impl GcEngine {
                     // forever so Go's observable semantics are preserved.
                     if self.subgraph_has_finalizer(vm, gid) {
                         vm.set_deadlocked(gid);
-                        self.mark_goroutine_subgraph(vm, gid, &mut stats);
+                        mark_goroutine_subgraph(vm, gid, &mut scratch.marker);
                         preserved += 1;
                     } else {
                         vm.force_shutdown(gid);
@@ -661,29 +584,25 @@ impl GcEngine {
                 // memory must survive the sweep (only the *report* is
                 // withheld from re-emission).
                 for &gid in &deadlocked {
-                    self.mark_goroutine_subgraph(vm, gid, &mut stats);
+                    mark_goroutine_subgraph(vm, gid, &mut scratch.marker);
                 }
             }
         }
 
         // Re-mark the hinted (inert) sources: they were withheld from the
         // liveness computation only; their memory is still reachable.
-        if !scratch.inert_globals.is_empty() || !scratch.inert_gids.is_empty() {
-            let mut remark = Marker::new();
-            for &h in &scratch.inert_globals {
-                remark.push_root(h);
-            }
-            for &gid in &scratch.inert_gids {
-                if let Some(g) = vm.goroutine(gid) {
-                    for h in g.stack_roots() {
-                        remark.push_root(h);
-                    }
-                }
-            }
-            remark.drain(vm.heap_mut());
-            stats.objects_marked += remark.marked;
-            stats.pointer_traversals += remark.traversals;
+        for &h in &scratch.inert_globals {
+            scratch.marker.push_root(h);
         }
+        for g in scratch.inert_gids.iter().filter_map(|&gid| vm.goroutine(gid)) {
+            for h in g.stack_roots() {
+                scratch.marker.push_root(h);
+            }
+        }
+        scratch.marker.drain(vm.heap_mut());
+        // The preserved and hinted subgraphs count as marking work too.
+        stats.objects_marked = scratch.marker.marked;
+        stats.pointer_traversals = scratch.marker.traversals;
 
         // ---- Sweep ----
         if vm.trace_enabled() {
@@ -799,20 +718,17 @@ impl GcEngine {
         }
         false
     }
+}
 
-    /// Marks everything reachable from `gid`'s stack (used to keep the
-    /// memory of preserved or report-only deadlocked goroutines alive).
-    fn mark_goroutine_subgraph(&self, vm: &mut Vm, gid: Gid, stats: &mut GcCycleStats) {
-        let Some(g) = vm.goroutine(gid) else { return };
-        let roots: Vec<_> = g.stack_roots().collect();
-        let mut marker = Marker::new();
-        for h in roots {
+/// Marks everything reachable from `gid`'s stack (used to keep the memory
+/// of preserved, report-only or hinted-inert goroutines alive).
+fn mark_goroutine_subgraph(vm: &mut Vm, gid: Gid, marker: &mut Marker) {
+    if let Some(g) = vm.goroutine(gid) {
+        for h in g.stack_roots() {
             marker.push_root(h);
         }
-        marker.drain(vm.heap_mut());
-        stats.objects_marked += marker.marked;
-        stats.pointer_traversals += marker.traversals;
     }
+    marker.drain(vm.heap_mut());
 }
 
 /// Returns the goroutines currently in the permanent `Deadlocked` state

@@ -1,30 +1,31 @@
 //! The tricolor marker: worklist-based transitive marking over the heap.
 //!
-//! This is the *sequential* marker, kept for small auxiliary passes
-//! (re-marking hinted-inert roots, preserving deadlocked subgraphs). The
-//! collector's hot path uses the sharded parallel
-//! [`MarkEngine`](crate::MarkEngine) instead; both count work identically
-//! so cycle statistics are independent of which marker ran.
+//! This is the collector's only marker. Every phase that blackens objects
+//! goes through it: the mark iterations of all three §5.3 root-expansion
+//! strategies, the re-mark of hinted-inert roots, and the preservation of
+//! deadlocked subgraphs. [`Marker::step`] blackens one object at a time, so
+//! each strategy observes the objects it needs as they are marked: `Rescan`
+//! just drains, `FromMarked` collects the handles each iteration blackens,
+//! and `Incremental` enqueues waiters the moment their object turns black.
 
 use golf_heap::{Handle, Heap, Trace};
 
 /// A marking worklist with work accounting.
 ///
-/// Gray objects live on the worklist; [`Marker::drain`] blackens them,
-/// pushing their white children. The counters feed the paper's claim that
-/// GOLF performs *the same aggregate marking work* as the baseline (§5.2):
-/// the number of pointer traversals is identical, only partitioned across
-/// more iterations.
+/// Gray objects live on the worklist; [`Marker::step`] blackens one of
+/// them, pushing its white children. The counters feed the paper's claim
+/// that GOLF performs *the same aggregate marking work* as the baseline
+/// (§5.2): the number of pointer traversals is identical, only partitioned
+/// across more iterations.
 #[derive(Debug, Default)]
 pub struct Marker {
     work: Vec<Handle>,
-    newly_marked: Vec<Handle>,
-    /// Objects blackened so far this cycle.
+    /// Objects blackened since the last [`Marker::reset`].
     pub marked: u64,
-    /// Pointer traversals so far this cycle: edges followed out of objects
-    /// as they were blackened. Each object is traced exactly once, so this
-    /// count is a pure property of the reachable graph — identical across
-    /// marker implementations, schedules and worker counts.
+    /// Pointer traversals since the last [`Marker::reset`]: edges followed
+    /// out of objects as they were blackened. Each object is traced exactly
+    /// once, so this count is a pure property of the reachable graph,
+    /// independent of root order and of the expansion strategy.
     pub traversals: u64,
 }
 
@@ -34,46 +35,54 @@ impl Marker {
         Marker::default()
     }
 
+    /// Empties the worklist and zeroes the counters, keeping the worklist's
+    /// allocation for the next cycle.
+    pub fn reset(&mut self) {
+        self.work.clear();
+        self.marked = 0;
+        self.traversals = 0;
+    }
+
     /// Adds a root. Masked handles are accepted but will be ignored by
     /// marking, reproducing GOLF's address obfuscation.
     pub fn push_root(&mut self, h: Handle) {
         self.work.push(h);
     }
 
-    /// Blackens everything reachable from the current worklist. Returns how
-    /// many objects were newly marked by this drain.
+    /// Blackens the next gray object and returns it, or `None` once the
+    /// worklist is empty.
     ///
-    /// Children already marked (or masked) are skipped *before* being
-    /// pushed: re-pushing them only to pop-and-discard inflated the
-    /// worklist traffic — and the `traversals` statistic — by the number of
-    /// shared edges in the graph.
-    pub fn drain<O: Trace, F>(&mut self, heap: &mut Heap<O, F>) -> u64 {
-        let before = self.marked;
-        let mut children = Vec::new();
+    /// Worklist entries that turn out to be already marked, masked or stale
+    /// are skipped. Children already marked (or masked) are skipped
+    /// *before* being pushed, so the worklist sees each object at most once
+    /// per parent that found it white.
+    pub fn step<O: Trace, F>(&mut self, heap: &mut Heap<O, F>) -> Option<Handle> {
         while let Some(h) = self.work.pop() {
             if !heap.try_mark(h) {
                 continue; // already marked, masked, or stale
             }
             self.marked += 1;
-            self.newly_marked.push(h);
-            children.clear();
+            let heap = &*heap;
             if let Some(obj) = heap.get(h) {
-                obj.trace(&mut |child| children.push(child));
+                let (work, traversals) = (&mut self.work, &mut self.traversals);
+                obj.trace(&mut |child| {
+                    *traversals += 1;
+                    if !child.is_masked() && !heap.is_marked(child) {
+                        work.push(child);
+                    }
+                });
             }
-            self.traversals += children.len() as u64;
-            for &c in &children {
-                if !c.is_masked() && !heap.is_marked(c) {
-                    self.work.push(c);
-                }
-            }
+            return Some(h);
         }
-        self.marked - before
+        None
     }
 
-    /// The handles blackened since the last call — the input to the §5.3
-    /// `FromMarked` root-expansion strategy.
-    pub fn take_newly_marked(&mut self) -> Vec<Handle> {
-        std::mem::take(&mut self.newly_marked)
+    /// Blackens everything reachable from the current worklist. Returns how
+    /// many objects were newly marked by this drain.
+    pub fn drain<O: Trace, F>(&mut self, heap: &mut Heap<O, F>) -> u64 {
+        let before = self.marked;
+        while self.step(heap).is_some() {}
+        self.marked - before
     }
 }
 
@@ -108,8 +117,11 @@ mod tests {
         let a = cell(&mut heap, Value::Nil);
         let mut m = Marker::new();
         m.push_root(a.masked());
+        assert_eq!(m.step(&mut heap), None);
         assert_eq!(m.drain(&mut heap), 0);
         assert!(!heap.is_marked(a));
+        m.push_root(a);
+        assert_eq!(m.drain(&mut heap), 1, "the unmasked handle still marks");
     }
 
     #[test]
@@ -124,6 +136,7 @@ mod tests {
         let mut m = Marker::new();
         m.push_root(a);
         assert_eq!(m.drain(&mut heap), 2);
+        assert_eq!(m.traversals, 2, "each cycle edge followed once");
     }
 
     #[test]
@@ -138,6 +151,34 @@ mod tests {
         assert_eq!(m.drain(&mut heap), 1);
         assert_eq!(m.marked, 2);
         assert_eq!(m.traversals, 0, "isolated cells have no outgoing edges");
+        m.reset();
+        assert_eq!((m.marked, m.traversals), (0, 0));
+        m.push_root(a);
+        assert_eq!(m.drain(&mut heap), 0, "marks live in the heap, not the marker");
+    }
+
+    #[test]
+    fn step_blackens_one_object_at_a_time() {
+        // c -> b -> a: each step returns the object it just blackened, in
+        // worklist (depth-first) order, then `None` once the graph is done.
+        let mut heap: Heap<Object, Finalizer> = Heap::new();
+        let a = cell(&mut heap, Value::Nil);
+        let b = cell(&mut heap, Value::Ref(a));
+        let c = cell(&mut heap, Value::Ref(b));
+        let mut m = Marker::new();
+        m.push_root(c);
+        assert_eq!(m.step(&mut heap), Some(c));
+        assert!(heap.is_marked(c) && !heap.is_marked(b), "children stay gray");
+        assert_eq!((m.marked, m.traversals), (1, 1));
+        assert_eq!(m.step(&mut heap), Some(b));
+        assert_eq!(m.step(&mut heap), Some(a));
+        assert_eq!(m.step(&mut heap), None);
+        assert_eq!((m.marked, m.traversals), (3, 2));
+        // A root pushed after the worklist emptied is picked up by the next
+        // step; already-marked roots are skipped without being returned.
+        m.push_root(b);
+        assert_eq!(m.step(&mut heap), None);
+        assert_eq!(m.marked, 3);
     }
 
     #[test]
@@ -152,7 +193,12 @@ mod tests {
         let a = heap.alloc(Object::Slice(vec![Value::Ref(b), Value::Ref(c)]));
         let mut m = Marker::new();
         m.push_root(a);
-        assert_eq!(m.drain(&mut heap), 4);
+        let mut order = Vec::new();
+        while let Some(h) = m.step(&mut heap) {
+            order.push(h);
+        }
+        assert_eq!(order.len(), 4, "every object returned exactly once");
+        assert_eq!(order[0], a);
         assert_eq!(m.traversals, 4, "edges followed once each, no re-push traffic");
     }
 }

@@ -70,21 +70,9 @@ pub struct GcCycleStats {
     pub objects_marked: u64,
     /// Pointer traversals performed while marking — edges followed out of
     /// objects as they were blackened (the paper's "marking work" —
-    /// identical between baseline and GOLF in aggregate, §5.2, and
-    /// invariant across mark-worker counts).
+    /// identical between baseline and GOLF in aggregate, §5.2, and across
+    /// the three expansion strategies).
     pub pointer_traversals: u64,
-    /// Mark workers the sharded engine simulated this cycle.
-    pub mark_workers: u32,
-    /// Lock-step scheduling rounds the mark engine executed. Depends on the
-    /// worker count (unlike `objects_marked`/`pointer_traversals`).
-    pub mark_rounds: u64,
-    /// Steal batches transferred between mark workers.
-    pub mark_steals: u64,
-    /// Modeled parallel critical path of the mark phase, in work items: per
-    /// round, the maximum items any worker processed, summed over rounds.
-    /// `work / span` is the modeled mark throughput `BENCH_mark.json`
-    /// reports.
-    pub mark_span: u64,
     /// `(goroutine, blocking object)` reachability checks — the `S` pairs
     /// factor in the paper's `O(N² + NS)` bound (§5.3).
     pub liveness_checks: u64,

@@ -110,6 +110,13 @@ fn strategies_detect_identically() {
         assert_eq!(rescan.deadlocks_detected, incr.deadlocks_detected);
         assert_eq!(rescan.objects_marked, marked.objects_marked, "same live set");
         assert_eq!(rescan.objects_marked, incr.objects_marked, "same live set");
+        // One marker under all three strategies: the same graph is traced
+        // once, so the traversal count is identical.
+        assert_eq!(rescan.pointer_traversals, marked.pointer_traversals, "same marking work");
+        assert_eq!(rescan.pointer_traversals, incr.pointer_traversals, "same marking work");
+        // FromMarked and Incremental both check each marked object's
+        // waiters exactly once; only when the checks happen differs.
+        assert_eq!(marked.liveness_checks, incr.liveness_checks, "chain={chain} sel={sel}");
     }
 }
 
@@ -158,6 +165,9 @@ proptest! {
         prop_assert_eq!(sa.deadlocks_detected, sc.deadlocks_detected);
         prop_assert_eq!(sa.deadlocks_reclaimed, sc.deadlocks_reclaimed);
         prop_assert_eq!(sa.objects_marked, sc.objects_marked);
+        prop_assert_eq!(sa.pointer_traversals, sb.pointer_traversals);
+        prop_assert_eq!(sa.pointer_traversals, sc.pointer_traversals);
+        prop_assert_eq!(sb.liveness_checks, sc.liveness_checks);
     }
 }
 

@@ -63,25 +63,6 @@ impl DirtyMap {
         self.words[word] |= 1u64 << (shard & 63);
     }
 
-    /// Marks every shard in `0..shards` dirty and bumps the epoch once —
-    /// used when the shard geometry itself changes (reshard), which
-    /// invalidates any bitmap carried over from a previous cycle.
-    pub fn mark_all(&mut self, shards: usize) {
-        if self.disabled {
-            return;
-        }
-        self.epoch += 1;
-        self.words.resize(shards.div_ceil(64), 0);
-        for (w, word) in self.words.iter_mut().enumerate() {
-            let base = w * 64;
-            for bit in 0..64 {
-                if base + bit < shards {
-                    *word |= 1u64 << bit;
-                }
-            }
-        }
-    }
-
     /// The monotone mutation counter. Never reset; equality between two
     /// reads proves no recorded mutation happened in between.
     pub fn epoch(&self) -> u64 {
@@ -152,18 +133,7 @@ mod tests {
         d.set_enabled(false);
         assert!(!d.enabled());
         d.record(1);
-        d.mark_all(4);
         assert_eq!(d.epoch(), 0);
         assert_eq!(d.dirty_count(), 0);
-    }
-
-    #[test]
-    fn mark_all_covers_exactly_range() {
-        let mut d = DirtyMap::new();
-        d.mark_all(70);
-        assert_eq!(d.dirty_count(), 70);
-        assert!(d.is_dirty(69));
-        assert!(!d.is_dirty(70));
-        assert_eq!(d.epoch(), 1);
     }
 }

@@ -60,7 +60,7 @@ mod trace;
 
 pub use dirty::DirtyMap;
 pub use handle::Handle;
-pub use shard::{MarkBits, DEFAULT_SHARD_BITS, MAX_SHARD_BITS, MIN_SHARD_BITS};
+pub use shard::{MarkBits, SHARD_BITS, SHARD_SLOTS};
 pub use slot_heap::{Heap, SweepOutcome};
 pub use stats::HeapStats;
 pub use trace::Trace;

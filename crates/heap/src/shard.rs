@@ -1,52 +1,33 @@
 //! Sharded mark bitmaps: the marking state of the heap, held outside the
 //! slot table and split into fixed-size shards.
 //!
-//! Every shard covers `1 << shard_bits` consecutive slots and owns a dense
+//! Every shard covers [`SHARD_SLOTS`] consecutive slots and owns a dense
 //! `u64` bitmap for them. Keeping mark state per shard (rather than as a
 //! `bool` inside each slot) buys three things:
 //!
 //! * `clear_marks` at cycle start becomes a word-wise zeroing pass instead
 //!   of a walk over every slot;
-//! * the parallel mark engine in `golf-core` can reason about shard
-//!   ownership (roots are distributed to workers by shard, newly-marked
-//!   feeds are merged in shard order) so detection sees one canonical
-//!   ordering regardless of worker count;
+//! * the dirty-shard write barrier ([`DirtyMap`](crate::DirtyMap)) records
+//!   mutations per shard, so a shard is the unit of "what changed since the
+//!   last cycle";
 //! * marked-object counts are a popcount, not a slot scan.
 
-/// Default `shard_bits`: shards of 4096 slots (64 bitmap words).
-pub const DEFAULT_SHARD_BITS: u32 = 12;
+/// Shard size exponent: each shard covers `1 << SHARD_BITS` slots.
+pub const SHARD_BITS: u32 = 12;
 
-/// Smallest permitted `shard_bits` — one bitmap word per shard.
-pub const MIN_SHARD_BITS: u32 = 6;
-
-/// Largest permitted `shard_bits` (16M slots per shard).
-pub const MAX_SHARD_BITS: u32 = 24;
+/// Slots per shard (4096, i.e. 64 bitmap words).
+pub const SHARD_SLOTS: usize = 1 << SHARD_BITS;
 
 /// A growable, sharded bitmap of mark bits, indexed by slot index.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MarkBits {
-    shard_bits: u32,
     shards: Vec<Vec<u64>>,
 }
 
 impl MarkBits {
-    /// An empty bitmap with the given shard size (clamped to
-    /// [`MIN_SHARD_BITS`]`..=`[`MAX_SHARD_BITS`]).
-    pub fn new(shard_bits: u32) -> Self {
-        MarkBits {
-            shard_bits: shard_bits.clamp(MIN_SHARD_BITS, MAX_SHARD_BITS),
-            shards: Vec::new(),
-        }
-    }
-
-    /// The configured shard size exponent.
-    pub fn shard_bits(&self) -> u32 {
-        self.shard_bits
-    }
-
-    /// Slots per shard.
-    pub fn shard_slots(&self) -> usize {
-        1 << self.shard_bits
+    /// An empty bitmap.
+    pub fn new() -> Self {
+        MarkBits::default()
     }
 
     /// Number of shards currently allocated.
@@ -56,20 +37,18 @@ impl MarkBits {
 
     /// The shard owning slot `index`.
     pub fn shard_of(&self, index: usize) -> usize {
-        index >> self.shard_bits
+        index >> SHARD_BITS
     }
 
     fn locate(&self, index: usize) -> (usize, usize, u64) {
-        let shard = index >> self.shard_bits;
-        let within = index & ((1usize << self.shard_bits) - 1);
-        (shard, within >> 6, 1u64 << (within & 63))
+        let within = index & (SHARD_SLOTS - 1);
+        (index >> SHARD_BITS, within >> 6, 1u64 << (within & 63))
     }
 
     /// Grows the bitmap until it covers at least `slots` slots.
     pub fn ensure(&mut self, slots: usize) {
-        let words = 1usize << (self.shard_bits - 6);
-        while self.shards.len() << self.shard_bits < slots {
-            self.shards.push(vec![0u64; words]);
+        while self.shards.len() * SHARD_SLOTS < slots {
+            self.shards.push(vec![0u64; SHARD_SLOTS / 64]);
         }
     }
 
@@ -126,38 +105,17 @@ impl MarkBits {
     pub fn set_count(&self) -> u64 {
         self.shards.iter().flatten().map(|w| u64::from(w.count_ones())).sum()
     }
-
-    /// Re-shards the bitmap to a new `shard_bits`, preserving set bits.
-    pub fn reshard(&mut self, shard_bits: u32) {
-        let shard_bits = shard_bits.clamp(MIN_SHARD_BITS, MAX_SHARD_BITS);
-        if shard_bits == self.shard_bits {
-            return;
-        }
-        let covered = self.shards.len() << self.shard_bits;
-        let mut next = MarkBits::new(shard_bits);
-        next.ensure(covered);
-        for index in 0..covered {
-            if self.is_set(index) {
-                next.try_set(index);
-            }
-        }
-        *self = next;
-    }
-}
-
-impl Default for MarkBits {
-    fn default() -> Self {
-        MarkBits::new(DEFAULT_SHARD_BITS)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const S: usize = SHARD_SLOTS;
+
     #[test]
     fn set_clear_roundtrip() {
-        let mut m = MarkBits::new(6);
+        let mut m = MarkBits::new();
         assert!(!m.is_set(0));
         assert!(m.try_set(0));
         assert!(!m.try_set(0), "second set reports already-set");
@@ -168,69 +126,48 @@ mod tests {
 
     #[test]
     fn grows_on_demand_by_whole_shards() {
-        let mut m = MarkBits::new(6);
+        let mut m = MarkBits::new();
         assert_eq!(m.shard_count(), 0);
-        assert!(m.try_set(64)); // second shard
+        assert!(m.try_set(S)); // second shard
         assert_eq!(m.shard_count(), 2);
-        assert!(!m.is_set(63), "bits in the grown range start clear");
-        assert!(!m.is_set(10_000), "beyond covered range reads as clear");
+        assert!(!m.is_set(S - 1), "bits in the grown range start clear");
+        assert!(!m.is_set(10 * S), "beyond covered range reads as clear");
     }
 
     #[test]
     fn shard_of_matches_shard_bits() {
-        let m = MarkBits::new(8);
-        assert_eq!(m.shard_slots(), 256);
-        assert_eq!(m.shard_of(255), 0);
-        assert_eq!(m.shard_of(256), 1);
+        let m = MarkBits::new();
+        assert_eq!(S, 4096);
+        assert_eq!(m.shard_of(S - 1), 0);
+        assert_eq!(m.shard_of(S), 1);
     }
 
     #[test]
     fn clear_all_and_popcount() {
-        let mut m = MarkBits::new(6);
-        for i in [0usize, 1, 63, 64, 130, 700] {
+        let mut m = MarkBits::new();
+        for i in [0usize, 1, 63, 64, S + 2, 5 * S + 700] {
             m.try_set(i);
         }
         assert_eq!(m.set_count(), 6);
         m.clear_all();
         assert_eq!(m.set_count(), 0);
-        assert!(!m.is_set(700));
-    }
-
-    #[test]
-    fn reshard_preserves_bits() {
-        let mut m = MarkBits::new(6);
-        let bits = [0usize, 5, 64, 129, 1023];
-        for &i in &bits {
-            m.try_set(i);
-        }
-        m.reshard(10);
-        assert_eq!(m.shard_bits(), 10);
-        for &i in &bits {
-            assert!(m.is_set(i), "bit {i} lost by reshard");
-        }
-        assert_eq!(m.set_count(), bits.len() as u64);
+        assert!(!m.is_set(5 * S + 700));
     }
 
     #[test]
     fn clear_shard_is_local() {
-        let mut m = MarkBits::new(6);
-        for i in [0usize, 63, 64, 127, 128] {
+        let mut m = MarkBits::new();
+        for i in [0usize, S - 1, S, 2 * S - 1, 2 * S] {
             m.try_set(i);
         }
         assert_eq!(m.shard_set_count(0), 2);
         assert_eq!(m.shard_set_count(1), 2);
         m.clear_shard(1);
-        assert!(m.is_set(0) && m.is_set(63), "shard 0 untouched");
-        assert!(!m.is_set(64) && !m.is_set(127), "shard 1 wiped");
-        assert!(m.is_set(128), "shard 2 untouched");
+        assert!(m.is_set(0) && m.is_set(S - 1), "shard 0 untouched");
+        assert!(!m.is_set(S) && !m.is_set(2 * S - 1), "shard 1 wiped");
+        assert!(m.is_set(2 * S), "shard 2 untouched");
         assert_eq!(m.set_count(), 3);
         m.clear_shard(99); // beyond covered range: no-op
         assert_eq!(m.shard_set_count(99), 0);
-    }
-
-    #[test]
-    fn shard_bits_are_clamped() {
-        assert_eq!(MarkBits::new(0).shard_bits(), MIN_SHARD_BITS);
-        assert_eq!(MarkBits::new(60).shard_bits(), MAX_SHARD_BITS);
     }
 }

@@ -23,9 +23,9 @@ struct Slot<O, F> {
 ///
 /// Mark state lives outside the slots, in a sharded bitmap
 /// ([`MarkBits`](crate::MarkBits)): the slot arena is split into fixed
-/// shards of `1 << shard_bits` slots, each with its own dense mark bitmap.
-/// `golf-core`'s parallel mark engine keys worker ownership and output
-/// ordering on these shards; see [`Heap::shard_of`].
+/// shards of [`SHARD_SLOTS`](crate::SHARD_SLOTS) slots, each with its own
+/// dense mark bitmap. The dirty-shard write barrier records mutations per
+/// shard; see [`Heap::shard_of`].
 ///
 /// Finalizers mirror Go's `runtime.SetFinalizer`: an unmarked object with a
 /// finalizer is *not* reclaimed by [`Heap::sweep_unmarked`]; instead its
@@ -221,36 +221,17 @@ impl<O: Trace, F> Heap<O, F> {
         self.marks.set_count() as usize
     }
 
-    /// The shard size exponent: each shard covers `1 << shard_bits` slots.
-    pub fn shard_bits(&self) -> u32 {
-        self.marks.shard_bits()
-    }
-
     /// Number of mark-bitmap shards currently allocated.
     pub fn shard_count(&self) -> usize {
         self.marks.shard_count()
     }
 
-    /// The shard that owns `h`'s slot. The parallel mark engine distributes
-    /// roots to workers by this value and merges newly-marked feeds in shard
-    /// order, so detection ordering is worker-count-invariant.
+    /// The shard that owns `h`'s slot: slots `s * SHARD_SLOTS ..
+    /// (s + 1) * SHARD_SLOTS` belong to shard `s`. The write barrier
+    /// records mutations against this value, and the incremental collector
+    /// clears mark bitmaps shard by shard.
     pub fn shard_of(&self, h: Handle) -> usize {
         self.marks.shard_of(h.index() as usize)
-    }
-
-    /// Re-shards the mark bitmaps to a new `shard_bits` (clamped to the
-    /// supported range), preserving any current marks. Collectors call this
-    /// at cycle initialization when their configured shard size differs.
-    ///
-    /// An actual reshard invalidates the shard geometry the dirty map was
-    /// recorded against, so every shard is flagged dirty and the mutation
-    /// epoch is bumped. A no-op call (same `shard_bits`) records nothing.
-    pub fn set_shard_bits(&mut self, bits: u32) {
-        let before = self.marks.shard_bits();
-        self.marks.reshard(bits);
-        if self.marks.shard_bits() != before {
-            self.dirty.mark_all(self.marks.shard_count());
-        }
     }
 
     /// The monotone heap mutation counter maintained by the write barrier.
@@ -653,7 +634,6 @@ mod tests {
     fn shard_api_tracks_marks() {
         let mut heap: Heap<Node> = Heap::new();
         let handles: Vec<Handle> = (0..10).map(|_| heap.alloc(leaf(1))).collect();
-        assert_eq!(heap.shard_bits(), crate::DEFAULT_SHARD_BITS);
         assert_eq!(heap.shard_count(), 1, "10 slots fit one shard");
         assert_eq!(heap.shard_of(handles[0]), 0);
 
@@ -661,10 +641,6 @@ mod tests {
         for &h in &handles[..4] {
             assert!(heap.try_mark(h));
         }
-        assert_eq!(heap.marked_count(), 4);
-        // Re-sharding preserves marks and liveness checks still hold.
-        heap.set_shard_bits(6);
-        assert_eq!(heap.shard_bits(), 6);
         assert_eq!(heap.marked_count(), 4);
         assert!(heap.is_marked(handles[0]));
         assert!(!heap.is_marked(handles[9]));
@@ -705,24 +681,24 @@ mod tests {
 
     #[test]
     fn clear_dirty_marks_preserves_clean_shards() {
-        // 64-slot shards: fill two shards, mark everything, then dirty only
-        // the second shard and verify the first shard's marks survive.
+        // Fill two shards, mark everything, then dirty only the second
+        // shard and verify the first shard's marks survive.
+        const S: usize = crate::SHARD_SLOTS;
         let mut heap: Heap<Node> = Heap::new();
-        heap.set_shard_bits(6);
-        let handles: Vec<Handle> = (0..128).map(|_| heap.alloc(leaf(1))).collect();
+        let handles: Vec<Handle> = (0..2 * S).map(|_| heap.alloc(leaf(1))).collect();
         heap.clear_marks();
         for &h in &handles {
             heap.try_mark(h);
         }
         heap.clear_dirty();
-        heap.get_mut(handles[80]).unwrap().payload = 9; // dirties shard 1 only
+        heap.get_mut(handles[S + 16]).unwrap().payload = 9; // dirties shard 1 only
         assert_eq!(heap.dirty_shards(), vec![1]);
         assert!(heap.shard_is_dirty(1));
         assert!(!heap.shard_is_dirty(0));
         let preserved = heap.clear_dirty_marks();
-        assert_eq!(preserved, 64, "shard 0's marks carried over");
+        assert_eq!(preserved, S as u64, "shard 0's marks carried over");
         assert!(heap.is_marked(handles[0]));
-        assert!(!heap.is_marked(handles[80]));
+        assert!(!heap.is_marked(handles[S + 16]));
         // Marking/clearing marks is collector state, not mutation.
         let e = heap.mutation_epoch();
         heap.clear_marks();
@@ -731,17 +707,9 @@ mod tests {
     }
 
     #[test]
-    fn reshard_dirties_everything_and_disabled_barrier_freezes_epoch() {
+    fn disabled_barrier_freezes_epoch() {
         let mut heap: Heap<Node> = Heap::new();
-        heap.set_shard_bits(6);
-        for _ in 0..70 {
-            heap.alloc(leaf(1));
-        }
-        heap.clear_dirty();
-        heap.set_shard_bits(6); // no-op: same geometry
-        assert_eq!(heap.dirty_shard_count(), 0);
-        heap.set_shard_bits(7);
-        assert_eq!(heap.dirty_shard_count(), heap.shard_count(), "reshard dirties all");
+        heap.alloc(leaf(1));
         heap.set_dirty_tracking(false);
         let e = heap.mutation_epoch();
         heap.alloc(leaf(1));

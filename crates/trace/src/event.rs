@@ -143,23 +143,6 @@ pub enum TraceEvent {
         /// swept, ...); `0` when the phase has no natural count.
         count: u64,
     },
-    /// Per-worker summary of one sharded mark phase. Only emitted when the
-    /// collector's `MarkConfig::trace_workers` is enabled: the per-worker
-    /// split necessarily depends on the worker count, so these records are
-    /// excluded from the default trace stream to keep traces byte-identical
-    /// across worker counts.
-    GcMarkWorker {
-        /// GC cycle number.
-        cycle: u64,
-        /// Worker index, `0..workers`.
-        worker: u32,
-        /// Objects this worker blackened.
-        marked: u64,
-        /// Pointer traversals this worker performed.
-        traversals: u64,
-        /// Steal batches this worker pulled from victims.
-        steals: u64,
-    },
     /// The collector proved a goroutine deadlocked (unreachable while
     /// blocked at a deadlock-eligible operation).
     DeadlockDetected {
@@ -225,7 +208,6 @@ impl TraceEvent {
             | TraceEvent::Reclaimed { gid } => Some(*gid),
             TraceEvent::GcPhaseBegin { .. }
             | TraceEvent::GcPhaseEnd { .. }
-            | TraceEvent::GcMarkWorker { .. }
             | TraceEvent::GcDirtyShard { .. }
             | TraceEvent::GcIncrementalSkip { .. }
             | TraceEvent::GcTrace { .. } => None,
@@ -248,7 +230,6 @@ impl TraceEvent {
             TraceEvent::SemaDequeue { .. } => "sema_dequeue",
             TraceEvent::GcPhaseBegin { .. } => "gc_phase_begin",
             TraceEvent::GcPhaseEnd { .. } => "gc_phase_end",
-            TraceEvent::GcMarkWorker { .. } => "gc_mark_worker",
             TraceEvent::GcDirtyShard { .. } => "gc_dirty_shard",
             TraceEvent::GcIncrementalSkip { .. } => "gc_incremental_skip",
             TraceEvent::DeadlockDetected { .. } => "deadlock_detected",
@@ -326,12 +307,6 @@ impl fmt::Display for TraceEvent {
             }
             TraceEvent::GcPhaseEnd { cycle, phase, count } => {
                 write!(f, "GcPhaseEnd cycle={cycle} phase={phase} count={count}")
-            }
-            TraceEvent::GcMarkWorker { cycle, worker, marked, traversals, steals } => {
-                write!(
-                    f,
-                    "GcMarkWorker cycle={cycle} w{worker} marked={marked} trav={traversals} steals={steals}"
-                )
             }
             TraceEvent::GcDirtyShard { cycle, shard } => {
                 write!(f, "GcDirtyShard cycle={cycle} shard={shard}")

@@ -2,9 +2,15 @@
 //! workloads: iterations, liveness checks and pointer traversals per
 //! collection, plus wall-clock mark time.
 //!
+//! The traversals column is 0 for every size, and that is correct:
+//! `Marker::traversals` counts edges followed out of blackened objects. The
+//! chain's channels are unbuffered with empty queues, so no edge leads out
+//! of them, and they are reached from the link goroutines' stacks, which
+//! are roots rather than heap edges.
+//!
 //! Usage:
 //! ```text
-//! cargo run --release -p golf-bench --bin expansion_costs [-- --sizes 8,16,32,64]
+//! cargo run --release -p golf-bench --bin expansion_costs [-- --sizes 8,16,32,64,512]
 //! ```
 
 use golf_bench::{arg_value, or_usage, parse_list};

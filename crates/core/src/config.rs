@@ -20,6 +20,12 @@ pub enum ExpansionStrategy {
     /// The paper's implementation: after each mark iteration, rescan every
     /// blocked goroutine and test each object in its `B(g)` for a mark —
     /// `O(N² + NS)` in the worst case.
+    ///
+    /// That bound is in *counted checks*, the work `liveness_checks` and
+    /// `modeled_stw_ns` report. On the host, the collector rescans a table
+    /// of the still-pending candidates and their `B(g)` handles built once
+    /// per cycle, so its work is proportional to those checks, not to
+    /// iterations × live goroutines.
     #[default]
     Rescan,
     /// The optimization the paper describes but does not implement (§5.3):

@@ -8,7 +8,8 @@ use crate::hints::LivenessHint;
 use crate::mark::Marker;
 use crate::report::DeadlockReport;
 use crate::stats::{GcCycleStats, GcTotals, PhaseEvent};
-use golf_runtime::{GStatus, Gid, Goroutine, Value, Vm};
+use golf_heap::{Handle, Heap};
+use golf_runtime::{Finalizer, GStatus, Gid, Goroutine, Object, Value, Vm};
 use golf_trace::{GoId, TraceEvent};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -22,25 +23,159 @@ fn go_id(gid: Gid) -> GoId {
 /// steady-state cycles clear containers instead of reallocating them.
 #[derive(Debug, Default)]
 struct CycleScratch {
-    inert_globals: HashSet<golf_heap::Handle>,
+    inert_globals: HashSet<Handle>,
     inert_sites: HashSet<Arc<str>>,
-    in_roots: HashSet<Gid>,
-    inert_gids: HashSet<Gid>,
+    candidates: CandidateTable,
     marker: Marker,
     /// Objects blackened by the current mark iteration (`FromMarked` only).
-    newly_marked: Vec<golf_heap::Handle>,
+    newly_marked: Vec<Handle>,
     added: Vec<Gid>,
+    /// Worklist and visited set of [`CycleScratch::subgraph_has_finalizer`].
+    finalizer_work: Vec<Handle>,
+    finalizer_seen: HashSet<Handle>,
 }
 
 impl CycleScratch {
     fn reset(&mut self) {
         self.inert_globals.clear();
         self.inert_sites.clear();
-        self.in_roots.clear();
-        self.inert_gids.clear();
+        self.candidates.clear();
         self.marker.reset();
         self.newly_marked.clear();
         self.added.clear();
+    }
+
+    /// BFS over the *unmarked* subgraph reachable from `gid`'s stack,
+    /// checking for finalizers (paper §5.5). Marked objects are reachable
+    /// from live goroutines and their finalizers behave normally.
+    fn subgraph_has_finalizer(&mut self, vm: &Vm, gid: Gid) -> bool {
+        let Some(g) = vm.goroutine(gid) else { return false };
+        let heap = vm.heap();
+        let (work, seen) = (&mut self.finalizer_work, &mut self.finalizer_seen);
+        work.clear();
+        seen.clear();
+        work.extend(g.stack_roots());
+        while let Some(h) = work.pop() {
+            if h.is_masked() || heap.is_marked(h) || !seen.insert(h) {
+                continue;
+            }
+            if heap.has_finalizer(h) {
+                return true;
+            }
+            if let Some(obj) = heap.get(h) {
+                use golf_heap::Trace;
+                obj.trace(&mut |child| work.push(child));
+            }
+        }
+        false
+    }
+}
+
+/// A goroutine's part in the current cycle's liveness fixed point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Role {
+    /// A dead slot, or any goroutine in a cycle without detection.
+    #[default]
+    Other,
+    /// In the root set: included at root preparation or found reachably
+    /// live by root expansion.
+    Root,
+    /// Spawned at a hinted-inert site: withheld from the fixed point and
+    /// re-marked before the sweep.
+    Inert,
+    /// A deadlock candidate not (yet) in the root set.
+    Pending,
+}
+
+/// A pending deadlock candidate and where its `B(g)` sits in
+/// [`CandidateTable::handles`].
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    gid: Gid,
+    start: usize,
+    end: usize,
+}
+
+/// The per-cycle candidate table, filled once at root preparation: a role
+/// per goroutine slot, and the pending candidates in slot order with their
+/// `B(g)` copied into one flat handle list. Root expansion then costs host
+/// work in proportion to the liveness checks it counts, not to iterations
+/// × live goroutines.
+#[derive(Debug, Default)]
+struct CandidateTable {
+    roles: Vec<Role>,
+    pending: Vec<Pending>,
+    handles: Vec<Handle>,
+}
+
+impl CandidateTable {
+    fn clear(&mut self) {
+        self.roles.clear();
+        self.pending.clear();
+        self.handles.clear();
+    }
+
+    /// Keyed by slot alone: no goroutine is spawned or finished between
+    /// root preparation and the end of detection, so every gid a cycle
+    /// looks up is its slot's current one.
+    fn role(&self, gid: Gid) -> Role {
+        self.roles.get(gid.index() as usize).copied().unwrap_or_default()
+    }
+
+    fn set_role(&mut self, gid: Gid, role: Role) {
+        let i = gid.index() as usize;
+        if i >= self.roles.len() {
+            self.roles.resize(i + 1, Role::Other);
+        }
+        self.roles[i] = role;
+    }
+
+    fn push_pending(&mut self, g: &Goroutine) {
+        let start = self.handles.len();
+        self.handles.extend_from_slice(g.blocked.handles());
+        self.pending.push(Pending { gid: g.id, start, end: self.handles.len() });
+        self.set_role(g.id, Role::Pending);
+    }
+
+    /// Moves a pending goroutine to the root set. False if it was not
+    /// pending (already a root, inert, or not a candidate).
+    fn promote(&mut self, gid: Gid) -> bool {
+        let pending = self.role(gid) == Role::Pending;
+        if pending {
+            self.set_role(gid, Role::Root);
+        }
+        pending
+    }
+
+    /// `Rescan` root expansion (paper §4.2 step 3): promotes, in slot
+    /// order, every pending goroutine with a marked object in its `B(g)`,
+    /// appending it to `added`. Returns the liveness checks: one per handle
+    /// tested, up to the first marked one.
+    fn rescan(&mut self, heap: &Heap<Object, Finalizer>, added: &mut Vec<Gid>) -> u64 {
+        let CandidateTable { roles, pending, handles } = self;
+        let mut checks = 0;
+        pending.retain(|p| {
+            for &o in &handles[p.start..p.end] {
+                checks += 1;
+                // `is_marked` is false for stale handles too; all our
+                // concurrency objects are heap-tracked, so there is no "not
+                // on the heap ⇒ conservatively reachable" case (globals are
+                // heap objects reached via the root scan).
+                if heap.is_marked(o) {
+                    roles[p.gid.index() as usize] = Role::Root;
+                    added.push(p.gid);
+                    return false;
+                }
+            }
+            true
+        });
+        checks
+    }
+
+    /// The candidates still pending, in slot order: after the fixed point,
+    /// exactly the deadlocked goroutines.
+    fn still_pending(&self) -> impl Iterator<Item = Gid> + '_ {
+        self.pending.iter().map(|p| p.gid).filter(|&gid| self.role(gid) == Role::Pending)
     }
 }
 
@@ -364,20 +499,24 @@ impl GcEngine {
         // Root preparation: GOLF withholds goroutines blocked at
         // deadlock-eligible concurrency operations (paper §4.2 step 1); the
         // baseline includes everything (§5.1).
+        let candidates = &mut scratch.candidates;
         let mut goroutine_roots = 0usize;
         for g in vm.live_goroutines() {
-            if detection && spawn_site_is_inert(vm, &scratch.inert_sites, g) {
-                scratch.inert_gids.insert(g.id);
-                continue; // withheld from liveness; re-marked before sweep
-            }
-            let include = !detection || !g.deadlock_candidate();
-            if include {
-                for h in g.stack_roots() {
-                    marker.push_root(h);
+            if detection {
+                if spawn_site_is_inert(vm, &scratch.inert_sites, g) {
+                    candidates.set_role(g.id, Role::Inert);
+                    continue; // withheld from liveness; re-marked before sweep
                 }
-                scratch.in_roots.insert(g.id);
-                goroutine_roots += 1;
+                if g.deadlock_candidate() {
+                    candidates.push_pending(g);
+                    continue;
+                }
+                candidates.set_role(g.id, Role::Root);
             }
+            for h in g.stack_roots() {
+                marker.push_root(h);
+            }
+            goroutine_roots += 1;
         }
         stats.phases.push(PhaseEvent::RootsPrepared { goroutine_roots, restricted: detection });
 
@@ -400,12 +539,10 @@ impl GcEngine {
                     Some(ExpansionStrategy::Incremental) => {
                         for gid in vm.waiters_on(h) {
                             stats.liveness_checks += 1;
-                            if scratch.in_roots.contains(&gid) || scratch.inert_gids.contains(&gid)
-                            {
+                            if !candidates.promote(gid) {
                                 continue;
                             }
-                            if let Some(g) = vm.goroutine(gid).filter(|g| g.deadlock_candidate()) {
-                                scratch.in_roots.insert(gid);
+                            if let Some(g) = vm.goroutine(gid) {
                                 for root in g.stack_roots() {
                                     marker.push_root(root);
                                 }
@@ -425,30 +562,7 @@ impl GcEngine {
             match expansion {
                 None | Some(ExpansionStrategy::Incremental) => break,
                 Some(ExpansionStrategy::Rescan) => {
-                    for g in vm.live_goroutines() {
-                        if scratch.in_roots.contains(&g.id)
-                            || scratch.inert_gids.contains(&g.id)
-                            || !g.deadlock_candidate()
-                        {
-                            continue;
-                        }
-                        let mut live = false;
-                        for &o in g.blocked.handles() {
-                            stats.liveness_checks += 1;
-                            // `is_marked` is false for stale handles too; all
-                            // our concurrency objects are heap-tracked, so
-                            // there is no "not on the heap ⇒ conservatively
-                            // reachable" case (globals are heap objects
-                            // reached via the root scan).
-                            if vm.heap().is_marked(o) {
-                                live = true;
-                                break;
-                            }
-                        }
-                        if live {
-                            scratch.added.push(g.id);
-                        }
-                    }
+                    stats.liveness_checks += candidates.rescan(vm.heap(), &mut scratch.added);
                 }
                 Some(ExpansionStrategy::FromMarked) => {
                     // §5.3: only the wait queues of objects marked in the
@@ -456,15 +570,7 @@ impl GcEngine {
                     for h in scratch.newly_marked.drain(..) {
                         for gid in vm.waiters_on(h) {
                             stats.liveness_checks += 1;
-                            if scratch.in_roots.contains(&gid)
-                                || scratch.inert_gids.contains(&gid)
-                                || scratch.added.contains(&gid)
-                            {
-                                continue;
-                            }
-                            let candidate =
-                                vm.goroutine(gid).is_some_and(|g| g.deadlock_candidate());
-                            if candidate {
+                            if candidates.promote(gid) {
                                 scratch.added.push(gid);
                             }
                         }
@@ -475,7 +581,6 @@ impl GcEngine {
                 break;
             }
             for gid in &scratch.added {
-                scratch.in_roots.insert(*gid);
                 if let Some(g) = vm.goroutine(*gid) {
                     for h in g.stack_roots() {
                         marker.push_root(h);
@@ -504,15 +609,7 @@ impl GcEngine {
             if vm.trace_enabled() {
                 vm.trace_emit(TraceEvent::GcPhaseBegin { cycle: cycle_no, phase: "detect" });
             }
-            let deadlocked: Vec<Gid> = vm
-                .live_goroutines()
-                .filter(|g| {
-                    g.deadlock_candidate()
-                        && !scratch.in_roots.contains(&g.id)
-                        && !scratch.inert_gids.contains(&g.id)
-                })
-                .map(|g| g.id)
-                .collect();
+            let deadlocked: Vec<Gid> = scratch.candidates.still_pending().collect();
 
             // Forensics snapshot: render the wait-for graph while this
             // cycle's mark bits are still valid (pre-sweep).
@@ -562,7 +659,7 @@ impl GcEngine {
                     // from deadlocked goroutines, check for finalizers. Any
                     // finalizer ⇒ keep the goroutine (and its memory) alive
                     // forever so Go's observable semantics are preserved.
-                    if self.subgraph_has_finalizer(vm, gid) {
+                    if scratch.subgraph_has_finalizer(vm, gid) {
                         vm.set_deadlocked(gid);
                         mark_goroutine_subgraph(vm, gid, &mut scratch.marker);
                         preserved += 1;
@@ -594,7 +691,7 @@ impl GcEngine {
         for &h in &scratch.inert_globals {
             scratch.marker.push_root(h);
         }
-        for g in scratch.inert_gids.iter().filter_map(|&gid| vm.goroutine(gid)) {
+        for g in vm.live_goroutines().filter(|g| scratch.candidates.role(g.id) == Role::Inert) {
             for h in g.stack_roots() {
                 scratch.marker.push_root(h);
             }
@@ -694,29 +791,6 @@ impl GcEngine {
             recent_events: Vec::new(),
             wait_for_dot: String::new(),
         }
-    }
-
-    /// BFS over the *unmarked* subgraph reachable from `gid`'s stack,
-    /// checking for finalizers (paper §5.5). Marked objects are reachable
-    /// from live goroutines and their finalizers behave normally.
-    fn subgraph_has_finalizer(&self, vm: &Vm, gid: Gid) -> bool {
-        let Some(g) = vm.goroutine(gid) else { return false };
-        let heap = vm.heap();
-        let mut work: Vec<_> = g.stack_roots().collect();
-        let mut seen: HashSet<golf_heap::Handle> = HashSet::new();
-        while let Some(h) = work.pop() {
-            if h.is_masked() || heap.is_marked(h) || !seen.insert(h) {
-                continue;
-            }
-            if heap.has_finalizer(h) {
-                return true;
-            }
-            if let Some(obj) = heap.get(h) {
-                use golf_heap::Trace;
-                obj.trace(&mut |child| work.push(child));
-            }
-        }
-        false
     }
 }
 

@@ -182,6 +182,27 @@ mod tests {
     }
 
     #[test]
+    fn empty_channels_have_no_outgoing_edges() {
+        // An unbuffered channel with empty wait queues holds no references:
+        // blackening it follows no edge. The `expansion_costs` daisy chain
+        // marks such channels straight from the link goroutines' stacks,
+        // which are roots, so it reports 0 traversals for every size.
+        let mut heap: Heap<Object, Finalizer> = Heap::new();
+        let ch = heap.alloc(Object::chan(0));
+        let mut m = Marker::new();
+        m.push_root(ch);
+        assert_eq!(m.drain(&mut heap), 1);
+        assert_eq!(m.traversals, 0, "an empty channel contributes no traversal");
+        // A buffered reference is an edge out of the channel.
+        let v = cell(&mut heap, Value::Nil);
+        let full = heap.alloc(Object::chan(1));
+        heap.get_mut(full).and_then(Object::as_chan_mut).unwrap().buf.push_back(Value::Ref(v));
+        m.push_root(full);
+        assert_eq!(m.drain(&mut heap), 2);
+        assert_eq!(m.traversals, 1);
+    }
+
+    #[test]
     fn shared_children_are_not_repushed() {
         // Diamond: a -> {b, c}, b -> d, c -> d. The second parent of `d`
         // must observe the mark before pushing, so the worklist sees `d`

@@ -3,7 +3,7 @@
 //! doing strictly less liveness-check work when many goroutines block on
 //! few objects.
 
-use golf_core::{ExpansionStrategy, GcEngine, GcMode, GolfConfig, Session};
+use golf_core::{ExpansionStrategy, GcEngine, GcMode, GolfConfig, PhaseEvent, Session};
 use golf_runtime::{FuncBuilder, PanicPolicy, ProgramSet, SelectSpec, Vm, VmConfig};
 use proptest::prelude::*;
 
@@ -207,4 +207,45 @@ fn session_with_from_marked_reclaims() {
     session.run(2_000);
     session.collect();
     assert_eq!(session.gc_totals().deadlocks_reclaimed, 7);
+}
+
+/// `Rescan`'s exact work on fixed shapes, pinned so that changes to how
+/// the expansion is computed cannot change what it counts. Each entry is
+/// `(chain, selectors, orphans, seed)` → (`liveness_checks`,
+/// `mark_iterations`, the `RootExpansion { goroutines_added }` sequence).
+///
+/// The `(n, 0, n)` rows are the `expansion_costs` daisy chain: one link
+/// turns live per iteration, so the checks are §5.3's quadratic
+/// 92 / 376 / 1520 / 6112. In the selector rows every selector's
+/// `B(g) = {sa, sb}` is marked at its first handle, which ends its checks:
+/// `(4, 6, 5)` counts 14 + 7 + 6 + 5 = 32, not the 38 that testing both
+/// handles would give.
+#[test]
+fn rescan_work_counts_are_pinned() {
+    let chain = |n: usize| vec![1; n - 1];
+    let cases = [
+        ((8, 0, 8, 1), (92, 8, chain(8))),
+        ((16, 0, 16, 1), (376, 16, chain(16))),
+        ((32, 0, 32, 1), (1520, 32, chain(32))),
+        ((64, 0, 64, 1), (6112, 64, chain(64))),
+        ((4, 6, 5, 1), (32, 4, vec![7, 1, 1])),
+        ((2, 10, 3, 1), (17, 2, vec![11])),
+        ((1, 5, 0, 7), (5, 2, vec![5])),
+        ((6, 3, 2, 5), (30, 6, vec![4, 1, 1, 1, 1])),
+    ];
+    for ((c, s, o, seed), (checks, iterations, added)) in cases {
+        let (_, stats) = collect_with(ExpansionStrategy::Rescan, c, s, o, seed);
+        let expansions: Vec<usize> = stats
+            .phases
+            .iter()
+            .filter_map(|p| match p {
+                PhaseEvent::RootExpansion { goroutines_added } => Some(*goroutines_added),
+                _ => None,
+            })
+            .collect();
+        let shape = format!("chain={c} sel={s} orph={o} seed={seed}");
+        assert_eq!(stats.liveness_checks, checks, "{shape}");
+        assert_eq!(stats.mark_iterations, iterations, "{shape}");
+        assert_eq!(expansions, added, "{shape}");
+    }
 }

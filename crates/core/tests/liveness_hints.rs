@@ -2,7 +2,7 @@
 //! patterns — Listings 4 and 5 — into detections, without ever freeing
 //! reachable memory.
 
-use golf_core::{GcEngine, LivenessHint};
+use golf_core::{ExpansionStrategy, GcEngine, GcMode, GolfConfig, LivenessHint};
 use golf_runtime::{BinOp, FuncBuilder, GStatus, GlobalId, ProgramSet, Vm, VmConfig};
 
 /// Listing 4: a sender blocked on a channel stored in a global.
@@ -91,6 +91,46 @@ fn listing5() -> ProgramSet {
     b.make_chan(ch, 0);
     b.new_struct(disp_ty, &[ch, zero], d);
     b.go(heartbeat, &[d], site_hb);
+    b.go(sender, &[d], site_send);
+    b.clear(ch);
+    b.clear(d);
+    b.sleep(1_000_000);
+    p.define(b);
+    p
+}
+
+/// Listing 5 with the heartbeat parked on a ticker channel that `main`
+/// keeps: the hinted goroutine is itself a waiter on a marked object, so no
+/// root expansion may promote it.
+fn listing5_parked() -> ProgramSet {
+    let mut p = ProgramSet::new();
+    let disp_ty = p.struct_type("dispatcher", &["ch", "ticks"]);
+    let site_hb = p.site("newDispatcher:71");
+    let site_send = p.site("main:80");
+
+    let mut b = FuncBuilder::new("heartbeat", 2);
+    let tick = b.param(1); // param 0, the dispatcher, stays on the stack
+    b.forever(|b| b.recv(tick, None));
+    let heartbeat = p.define(b);
+
+    let mut b = FuncBuilder::new("sender", 1);
+    let d = b.param(0);
+    let ch = b.var("ch");
+    let v = b.int(1);
+    b.get_field(ch, d, 0);
+    b.send(ch, v);
+    b.ret(None);
+    let sender = p.define(b);
+
+    let mut b = FuncBuilder::new("main", 0);
+    let ch = b.var("ch");
+    let zero = b.int(0);
+    let d = b.var("d");
+    let tick = b.var("tick");
+    b.make_chan(ch, 0);
+    b.make_chan(tick, 0);
+    b.new_struct(disp_ty, &[ch, zero], d);
+    b.go(heartbeat, &[d, tick], site_hb);
     b.go(sender, &[d], site_send);
     b.clear(ch);
     b.clear(d);
@@ -190,4 +230,53 @@ fn hints_do_not_affect_unrelated_goroutines() {
     // The consumer still completes once main sends.
     vm.run(100_000);
     assert_eq!(vm.blocked_count(), 0, "consumer was served");
+}
+
+/// Listings 4 and 5 under every §5.3 strategy, reclaiming and report-only.
+/// The inert goroutines and globals are withheld from the fixed point and
+/// re-marked before the sweep, and report-only mode re-marks the deadlocked
+/// subgraphs too, so all three strategies must agree on the reports and on
+/// the final marking work.
+#[test]
+fn hints_agree_across_strategies() {
+    type Case = (&'static str, fn() -> (ProgramSet, LivenessHint));
+    fn heartbeat() -> LivenessHint {
+        LivenessHint::InertSpawnSite("newDispatcher:71".into())
+    }
+    let cases: [Case; 3] = [
+        ("listing4", || {
+            let (p, global_ch) = listing4();
+            (p, LivenessHint::InertGlobal(global_ch))
+        }),
+        ("listing5", || (listing5(), heartbeat())),
+        ("listing5_parked", || (listing5_parked(), heartbeat())),
+    ];
+    for (name, build) in cases {
+        for reclaim in [true, false] {
+            let outcomes: Vec<_> = [
+                ExpansionStrategy::Rescan,
+                ExpansionStrategy::FromMarked,
+                ExpansionStrategy::Incremental,
+            ]
+            .into_iter()
+            .map(|expansion| {
+                let (p, hint) = build();
+                let mut vm = Vm::boot(p, VmConfig::default());
+                vm.run(200);
+                let mut gc = GcEngine::new(
+                    GcMode::Golf,
+                    GolfConfig { expansion, reclaim, ..GolfConfig::default() },
+                );
+                gc.add_liveness_hint(hint);
+                let stats = gc.collect(&mut vm);
+                let reports: Vec<_> = gc.reports().iter().map(|r| r.dedup_key_owned()).collect();
+                (reports, stats.objects_marked, stats.pointer_traversals)
+            })
+            .collect();
+            let what = format!("{name} reclaim={reclaim}");
+            assert_eq!(outcomes[0].0.len(), 1, "{what}: the hinted leak is reported");
+            assert_eq!(outcomes[0], outcomes[1], "{what}: Rescan vs FromMarked");
+            assert_eq!(outcomes[0], outcomes[2], "{what}: Rescan vs Incremental");
+        }
+    }
 }

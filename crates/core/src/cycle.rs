@@ -3,7 +3,7 @@
 //! and sweeping. This module is the reproduction of the paper's §4.2/§5.
 
 use crate::config::{ExpansionStrategy, GcMode, GolfConfig};
-use crate::forensics;
+use crate::forensics::{self, WaitForGraph};
 use crate::hints::LivenessHint;
 use crate::mark::Marker;
 use crate::report::DeadlockReport;
@@ -611,14 +611,11 @@ impl GcEngine {
             }
             let deadlocked: Vec<Gid> = scratch.candidates.still_pending().collect();
 
-            // Forensics snapshot: render the wait-for graph while this
-            // cycle's mark bits are still valid (pre-sweep).
-            let wait_for_dot = if deadlocked.is_empty() {
-                String::new()
-            } else {
-                let set: HashSet<Gid> = deadlocked.iter().copied().collect();
-                forensics::wait_for_graph_dot(vm, &set)
-            };
+            // Forensics snapshot: capture the wait-for graph while this
+            // cycle's mark bits are still valid (pre-sweep); every report
+            // of the cycle shares it, and it renders only when asked.
+            let wait_for =
+                (!deadlocked.is_empty()).then(|| Arc::new(WaitForGraph::capture(vm, &deadlocked)));
 
             let mut new_reports = 0usize;
             for &gid in &deadlocked {
@@ -629,7 +626,7 @@ impl GcEngine {
                 let mut report = self.build_report(vm, gid, cycle_no);
                 report.recent_events =
                     forensics::flight_tail(vm, gid, forensics::DEFAULT_FORENSIC_TAIL);
-                report.wait_for_dot = wait_for_dot.clone();
+                report.wait_for = wait_for.clone();
                 if vm.trace_enabled() {
                     vm.trace_emit(TraceEvent::DeadlockDetected {
                         gid: go_id(gid),
@@ -789,7 +786,7 @@ impl GcEngine {
             cycle,
             tick: vm.now(),
             recent_events: Vec::new(),
-            wait_for_dot: String::new(),
+            wait_for: None,
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Deadlock reports: what GOLF tells the developer.
 
+use crate::forensics::WaitForGraph;
 use golf_runtime::{Gid, WaitReason};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -34,10 +35,11 @@ pub struct DeadlockReport {
     /// first — what it did right before (and while) deadlocking. Empty
     /// when tracing was off at detection time.
     pub recent_events: Vec<String>,
-    /// Graphviz DOT rendering of the wait-for graph at detection time
-    /// (blocked goroutines, their `B(g)` objects, and each object's mark
-    /// state). Empty when the detection produced no graph.
-    pub wait_for_dot: String,
+    /// The wait-for graph at detection time (blocked goroutines, their
+    /// `B(g)` objects, and each object's mark state), shared by every
+    /// report of the detecting cycle. Render it with
+    /// [`DeadlockReport::wait_for_dot`].
+    pub wait_for: Option<Arc<WaitForGraph>>,
 }
 
 impl DeadlockReport {
@@ -54,6 +56,12 @@ impl DeadlockReport {
     pub fn dedup_key_owned(&self) -> (String, String) {
         let (block, site) = self.dedup_key();
         (block.to_string(), site.to_string())
+    }
+
+    /// Graphviz DOT rendering of [`DeadlockReport::wait_for`]; empty when
+    /// the detection captured no graph.
+    pub fn wait_for_dot(&self) -> String {
+        self.wait_for.as_ref().map(ToString::to_string).unwrap_or_default()
     }
 }
 
@@ -99,7 +107,7 @@ impl fmt::Display for DeadlockReport {
 /// #     cycle: 1,
 /// #     tick: 0,
 /// #     recent_events: vec![],
-/// #     wait_for_dot: String::new(),
+/// #     wait_for: None,
 /// # };
 /// let reports = vec![mk("a:1"), mk("a:1"), mk("b:9")];
 /// let counts = dedup_counts(&reports);
@@ -128,7 +136,7 @@ mod tests {
             cycle: 1,
             tick: 100,
             recent_events: vec![],
-            wait_for_dot: String::new(),
+            wait_for: None,
         }
     }
 

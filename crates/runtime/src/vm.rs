@@ -280,6 +280,13 @@ impl Vm {
         &self.program
     }
 
+    /// The program, shared: what outlives the VM's borrow, such as a
+    /// deadlock report's wait-for graph, keeps it to name functions.
+    #[inline]
+    pub fn shared_program(&self) -> &Arc<ProgramSet> {
+        &self.program
+    }
+
     /// The managed heap.
     pub fn heap(&self) -> &Heap<Object, Finalizer> {
         &self.heap

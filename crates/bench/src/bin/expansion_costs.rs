@@ -13,7 +13,7 @@
 //! cargo run --release -p golf-bench --bin expansion_costs [-- --sizes 8,16,32,64,512]
 //! ```
 
-use golf_bench::{arg_value, or_usage, parse_list};
+use golf_bench::{arg_value, check_flags, or_usage, parse_list};
 use golf_core::{ExpansionStrategy, GcEngine, GcMode, GolfConfig};
 use golf_metrics::{Align, Table};
 use golf_runtime::{FuncBuilder, ProgramSet, Vm, VmConfig};
@@ -60,10 +60,13 @@ fn chain_program(n: i64) -> ProgramSet {
     p
 }
 
+const USAGE: &str = "usage: expansion_costs [--sizes <n,n,...>]";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    or_usage(check_flags(&args, &["--sizes"], &[]), USAGE);
     let sizes = arg_value(&args, "--sizes")
-        .map(|v| or_usage(parse_list(&v), "usage: expansion_costs [--sizes <n,n,...>]"))
+        .map(|v| or_usage(parse_list(&v), USAGE))
         .unwrap_or(vec![8, 16, 32, 64]);
 
     println!("Root-expansion strategy costs on an n-link daisy chain + n orphans (§5.3)\n");

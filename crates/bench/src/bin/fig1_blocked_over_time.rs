@@ -8,12 +8,15 @@
 //!     [-- --days 28 --csv out.csv]
 //! ```
 
-use golf_bench::arg_value;
+use golf_bench::{arg_value, check_flags, or_usage, parse_arg};
 use golf_service::longrun::{run_longrun, sparkline, LongRunConfig};
+
+const USAGE: &str = "usage: fig1_blocked_over_time [--days <n>] [--csv <path>]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let days: usize = arg_value(&args, "--days").and_then(|v| v.parse().ok()).unwrap_or(28);
+    or_usage(check_flags(&args, &["--days", "--csv"], &[]), USAGE);
+    let days: usize = or_usage(parse_arg(&args, "--days"), USAGE).unwrap_or(28);
 
     let base_config = LongRunConfig { days, ..LongRunConfig::default() };
     let golf_config = LongRunConfig { golf: true, ..base_config.clone() };

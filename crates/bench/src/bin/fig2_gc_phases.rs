@@ -3,7 +3,13 @@
 //! live and deadlocked goroutines and prints the phase trace — regular
 //! phases plain, GOLF extensions marked with `▞` (the paper's hatched
 //! boxes).
+//!
+//! Usage:
+//! ```text
+//! cargo run --release -p golf-bench --bin fig2_gc_phases
+//! ```
 
+use golf_bench::{check_flags, or_usage};
 use golf_core::{GcEngine, PhaseEvent};
 use golf_runtime::{FuncBuilder, ProgramSet, Vm, VmConfig};
 
@@ -54,6 +60,8 @@ fn build() -> ProgramSet {
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    or_usage(check_flags(&args, &[], &[]), "usage: fig2_gc_phases (takes no arguments)");
     let mut vm = Vm::boot(build(), VmConfig::default());
     vm.run(500);
     let mut gc = GcEngine::golf();

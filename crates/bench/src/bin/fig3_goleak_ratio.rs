@@ -12,14 +12,16 @@
 //!     [-- --packages 3111 --seed 61795 --csv curve.csv]
 //! ```
 
-use golf_bench::arg_value;
+use golf_bench::{arg_value, check_flags, or_usage, parse_arg};
 use golf_service::testcorpus::{run_corpus, CorpusConfig};
+
+const USAGE: &str = "usage: fig3_goleak_ratio [--packages <n>] [--seed <n>] [--csv <path>]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let packages: usize =
-        arg_value(&args, "--packages").and_then(|v| v.parse().ok()).unwrap_or(3_111);
-    let seed: u64 = arg_value(&args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(0xF163);
+    or_usage(check_flags(&args, &["--packages", "--seed", "--csv"], &[]), USAGE);
+    let packages: usize = or_usage(parse_arg(&args, "--packages"), USAGE).unwrap_or(3_111);
+    let seed: u64 = or_usage(parse_arg(&args, "--seed"), USAGE).unwrap_or(0xF163);
 
     let config = CorpusConfig { packages, seed, ..CorpusConfig::default() };
     eprintln!("fig3: running {} package test suites…", config.packages);

@@ -13,12 +13,15 @@
 //!     [-- --reps 5 --csv results-perf.csv]
 //! ```
 
-use golf_bench::arg_value;
+use golf_bench::{arg_value, check_flags, or_usage, parse_arg};
 use golf_micro::{run_perf_comparison, summarize_groups, PerfSettings};
+
+const USAGE: &str = "usage: fig4_mark_slowdown [--reps <n>] [--tex <path>] [--csv <path>]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let reps: u32 = arg_value(&args, "--reps").and_then(|v| v.parse().ok()).unwrap_or(5);
+    or_usage(check_flags(&args, &["--reps", "--tex", "--csv"], &[]), USAGE);
+    let reps: u32 = or_usage(parse_arg(&args, "--reps"), USAGE).unwrap_or(5);
 
     let settings = PerfSettings { repetitions: reps, ..PerfSettings::default() };
     eprintln!("fig4: measuring 105 programs x 2 collectors x {reps} reps…");

@@ -17,14 +17,23 @@
 //!
 //! `--replay FILE` switches to single-schedule mode: load the schedule,
 //! re-run it against its target, and print the reproduced reports.
+//!
+//! Any other argument, a flag without its value, or a value that does not
+//! parse is a usage error (exit status 2).
 
-use golf_bench::arg_value;
+use golf_bench::{arg_value, check_flags, or_usage, parse_arg};
 use golf_explore::{
     replay_run, run_campaign, targets, CampaignConfig, CampaignResult, CorpusSelect, Schedule,
     StrategyKind,
 };
 use std::fmt::Write as _;
 use std::path::Path;
+
+const USAGE: &str =
+    "usage: golf_explorer [--corpus goker|cgo|micro|service|all] [--match <pattern>] \
+[--budget <n>] [--strategy random|pct[:d]|delay[:k]] [--seed <n>] [--threads <n>] \
+[--shrink-budget <n>] [--no-shrink] [--no-verify] [--out <dir>] [--bench-json <file>] [--gate] \
+[--max-first-leak <n>] [--replay <file>]";
 
 fn fail(msg: &str) -> ! {
     eprintln!("golf_explorer: {msg}");
@@ -99,34 +108,49 @@ fn bench_json(result: &CampaignResult, wall_secs: f64) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    or_usage(
+        check_flags(
+            &args,
+            &[
+                "--corpus",
+                "--match",
+                "--budget",
+                "--strategy",
+                "--seed",
+                "--threads",
+                "--shrink-budget",
+                "--out",
+                "--bench-json",
+                "--max-first-leak",
+                "--replay",
+            ],
+            &["--no-shrink", "--no-verify", "--gate"],
+        ),
+        USAGE,
+    );
     if let Some(path) = arg_value(&args, "--replay") {
         replay_mode(&path);
     }
 
-    let select: CorpusSelect = arg_value(&args, "--corpus")
-        .unwrap_or_else(|| "goker".into())
-        .parse()
-        .unwrap_or_else(|e: String| fail(&e));
+    let select: CorpusSelect =
+        or_usage(arg_value(&args, "--corpus").unwrap_or_else(|| "goker".into()).parse(), USAGE);
     let pattern = arg_value(&args, "--match");
-    let strategy: StrategyKind = arg_value(&args, "--strategy")
-        .unwrap_or_else(|| "pct".into())
-        .parse()
-        .unwrap_or_else(|e: String| fail(&e));
+    let strategy: StrategyKind =
+        or_usage(arg_value(&args, "--strategy").unwrap_or_else(|| "pct".into()).parse(), USAGE);
     let no_shrink = args.iter().any(|a| a == "--no-shrink");
     let config = CampaignConfig {
-        budget: arg_value(&args, "--budget").map_or(2_000, |v| v.parse().expect("--budget")),
+        budget: or_usage(parse_arg(&args, "--budget"), USAGE).unwrap_or(2_000),
         strategy,
-        root_seed: arg_value(&args, "--seed").map_or(0x601F, |v| v.parse().expect("--seed")),
-        threads: arg_value(&args, "--threads").map_or(0, |v| v.parse().expect("--threads")),
+        root_seed: or_usage(parse_arg(&args, "--seed"), USAGE).unwrap_or(0x601F),
+        threads: or_usage(parse_arg(&args, "--threads"), USAGE).unwrap_or(0),
         shrink_budget: if no_shrink {
             0
         } else {
-            arg_value(&args, "--shrink-budget").map_or(96, |v| v.parse().expect("--shrink-budget"))
+            or_usage(parse_arg(&args, "--shrink-budget"), USAGE).unwrap_or(96)
         },
         verify: !args.iter().any(|a| a == "--no-verify"),
     };
-    let max_first_leak: u64 =
-        arg_value(&args, "--max-first-leak").map_or(500, |v| v.parse().expect("--max-first-leak"));
+    let max_first_leak: u64 = or_usage(parse_arg(&args, "--max-first-leak"), USAGE).unwrap_or(500);
     let out_dir = arg_value(&args, "--out");
 
     let list = targets(select, pattern.as_deref(), 24);

@@ -9,16 +9,19 @@
 //!     [-- --instances 5 --hours 24]
 //! ```
 
-use golf_bench::arg_value;
+use golf_bench::{check_flags, or_usage, parse_arg};
 use golf_service::rq1c::{run_rq1c, Rq1cConfig};
+
+const USAGE: &str = "usage: rq1c_real_service [--instances <n>] [--hours <n>]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    or_usage(check_flags(&args, &["--instances", "--hours"], &[]), USAGE);
     let mut config = Rq1cConfig::default();
-    if let Some(v) = arg_value(&args, "--instances").and_then(|v| v.parse().ok()) {
+    if let Some(v) = or_usage(parse_arg(&args, "--instances"), USAGE) {
         config.instances = v;
     }
-    if let Some(v) = arg_value(&args, "--hours").and_then(|v| v.parse().ok()) {
+    if let Some(v) = or_usage(parse_arg(&args, "--hours"), USAGE) {
         config.hours = v;
     }
 

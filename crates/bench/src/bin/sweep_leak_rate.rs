@@ -10,23 +10,20 @@
 //!     [-- --rates 0,20,50,100,200 --run-ticks 15000]
 //! ```
 
-use golf_bench::{arg_value, or_usage, parse_list};
+use golf_bench::{arg_value, check_flags, or_usage, parse_arg, parse_list};
 use golf_metrics::{Align, Table};
 use golf_service::table2::{run_scenario, Table2Config};
 use golf_service::ServiceConfig;
 
+const USAGE: &str = "usage: sweep_leak_rate [--rates <n,n,...>] [--run-ticks <n>]";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    or_usage(check_flags(&args, &["--rates", "--run-ticks"], &[]), USAGE);
     let rates: Vec<i64> = arg_value(&args, "--rates")
-        .map(|v| {
-            or_usage(parse_list(&v), "usage: sweep_leak_rate [--rates <n,n,...>] [--run-ticks <n>]")
-                .into_iter()
-                .map(|x| x as i64)
-                .collect()
-        })
+        .map(|v| or_usage(parse_list(&v), USAGE).into_iter().map(|x| x as i64).collect())
         .unwrap_or(vec![0, 20, 50, 100, 200]);
-    let run_ticks: u64 =
-        arg_value(&args, "--run-ticks").and_then(|v| v.parse().ok()).unwrap_or(15_000);
+    let run_ticks: u64 = or_usage(parse_arg(&args, "--run-ticks"), USAGE).unwrap_or(15_000);
 
     let config = Table2Config {
         service: ServiceConfig::default(),

@@ -7,15 +7,24 @@
 //!     --procs 1,2,4,10 --seed 24655 --match cockroach --budget 3000]
 //! ```
 
-use golf_bench::{arg_value, or_usage, parse_list};
+use golf_bench::{arg_value, check_flags, or_usage, parse_arg, parse_list};
 use golf_micro::{corpus, Table1Config};
+
+const USAGE: &str = "usage: table1_micro [--runs <n>] [--procs <n,n,...>] [--seed <n>] \
+[--match <name>] [--budget <ticks>]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let runs: u32 = arg_value(&args, "--runs").and_then(|v| v.parse().ok()).unwrap_or(100);
-    let procs = arg_value(&args, "--procs").map(|v| or_usage(parse_list(&v), "usage: table1_micro [--runs <n>] [--procs <n,n,...>] [--seed <n>] [--match <name>] [--budget <ticks>]")).unwrap_or(vec![1, 2, 4, 10]);
-    let seed: u64 = arg_value(&args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(0x601F);
-    let budget: u64 = arg_value(&args, "--budget").and_then(|v| v.parse().ok()).unwrap_or(3_000);
+    or_usage(
+        check_flags(&args, &["--runs", "--procs", "--seed", "--match", "--budget"], &[]),
+        USAGE,
+    );
+    let runs: u32 = or_usage(parse_arg(&args, "--runs"), USAGE).unwrap_or(100);
+    let procs = arg_value(&args, "--procs")
+        .map(|v| or_usage(parse_list(&v), USAGE))
+        .unwrap_or(vec![1, 2, 4, 10]);
+    let seed: u64 = or_usage(parse_arg(&args, "--seed"), USAGE).unwrap_or(0x601F);
+    let budget: u64 = or_usage(parse_arg(&args, "--budget"), USAGE).unwrap_or(3_000);
     let pattern = arg_value(&args, "--match");
 
     let mut benchmarks = corpus();

@@ -13,19 +13,23 @@
 //!     [-- --run-ticks 30000 --warmup 5000 --map-bytes 1600000]
 //! ```
 
-use golf_bench::arg_value;
+use golf_bench::{check_flags, or_usage, parse_arg};
 use golf_service::table2::{run_table2, Table2Config};
+
+const USAGE: &str =
+    "usage: table2_service [--run-ticks <ticks>] [--warmup <ticks>] [--map-bytes <bytes>]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    or_usage(check_flags(&args, &["--run-ticks", "--warmup", "--map-bytes"], &[]), USAGE);
     let mut config = Table2Config::default();
-    if let Some(v) = arg_value(&args, "--run-ticks").and_then(|v| v.parse().ok()) {
+    if let Some(v) = or_usage(parse_arg(&args, "--run-ticks"), USAGE) {
         config.run_ticks = v;
     }
-    if let Some(v) = arg_value(&args, "--warmup").and_then(|v| v.parse().ok()) {
+    if let Some(v) = or_usage(parse_arg(&args, "--warmup"), USAGE) {
         config.warmup_ticks = v;
     }
-    if let Some(v) = arg_value(&args, "--map-bytes").and_then(|v| v.parse().ok()) {
+    if let Some(v) = or_usage(parse_arg(&args, "--map-bytes"), USAGE) {
         config.service.map_bytes = v;
     }
 

@@ -12,16 +12,19 @@
 //!     [-- --windows 160 --window-ticks 1500]
 //! ```
 
-use golf_bench::arg_value;
+use golf_bench::{check_flags, or_usage, parse_arg};
 use golf_service::production::{render_table3, run_production, ProductionConfig};
+
+const USAGE: &str = "usage: table3_production [--windows <n>] [--window-ticks <ticks>]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    or_usage(check_flags(&args, &["--windows", "--window-ticks"], &[]), USAGE);
     let mut config = ProductionConfig::default();
-    if let Some(v) = arg_value(&args, "--windows").and_then(|v| v.parse().ok()) {
+    if let Some(v) = or_usage(parse_arg(&args, "--windows"), USAGE) {
         config.windows = v;
     }
-    if let Some(v) = arg_value(&args, "--window-ticks").and_then(|v| v.parse().ok()) {
+    if let Some(v) = or_usage(parse_arg(&args, "--window-ticks"), USAGE) {
         config.window_ticks = v;
     }
 

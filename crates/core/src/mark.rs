@@ -211,7 +211,7 @@ mod tests {
         let d = cell(&mut heap, Value::Nil);
         let b = cell(&mut heap, Value::Ref(d));
         let c = cell(&mut heap, Value::Ref(d));
-        let a = heap.alloc(Object::Slice(vec![Value::Ref(b), Value::Ref(c)]));
+        let a = heap.alloc(Object::Slice(vec![Value::Ref(b), Value::Ref(c)].into()));
         let mut m = Marker::new();
         m.push_root(a);
         let mut order = Vec::new();

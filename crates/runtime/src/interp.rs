@@ -2,7 +2,7 @@
 
 use crate::goroutine::{Blocked, Gid, WaitReason};
 use crate::instr::{BinOp, Instr};
-use crate::object::Object;
+use crate::object::{Object, SliceData};
 use crate::value::Value;
 use crate::vm::{go_id, Exec, Finalizer, Vm};
 use golf_trace::TraceEvent;
@@ -178,7 +178,7 @@ impl Vm {
                 }
             }
             Instr::NewSlice(dst) => {
-                let h = self.heap.alloc(Object::Slice(Vec::new()));
+                let h = self.heap.alloc(Object::Slice(SliceData::default()));
                 self.write_var(gid, dst, Value::Ref(h));
                 Exec::Continue
             }
@@ -221,11 +221,8 @@ impl Vm {
                 match self.read_var(gid, slice) {
                     Value::Ref(h) => match self.heap.get_mut(h) {
                         Some(Object::Slice(vs)) => {
-                            match usize::try_from(i).ok().and_then(|i| vs.get_mut(i)) {
-                                Some(slot) => {
-                                    *slot = v;
-                                    Exec::Continue
-                                }
+                            match usize::try_from(i).ok().and_then(|i| vs.set(i, v)) {
+                                Some(_) => Exec::Continue,
                                 None => self.goroutine_panic(gid, "index out of range"),
                             }
                         }

@@ -84,7 +84,8 @@ pub use func::{FuncId, Function, GlobalId, ProgramSet, SiteId, SiteInfo, StructT
 pub use goroutine::{Blocked, Frame, GStatus, Gid, Goroutine, WaitReason};
 pub use instr::{BinOp, Instr, SelOp, SelectCase};
 pub use object::{
-    ChanState, CondState, MutexState, Object, RwLockState, TypeId, WaitKind, Waiter, WgState,
+    ChanState, CondState, MutexState, Object, RwLockState, SliceData, TypeId, WaitKind, Waiter,
+    WgState,
 };
 pub use profile::ProfileEntry;
 pub use sched::SchedPolicy;

@@ -4,6 +4,8 @@ use crate::goroutine::Gid;
 use crate::value::{Value, Var};
 use golf_heap::{Handle, Trace};
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
+use std::ops::Deref;
 
 /// Identifies a registered struct type (see
 /// [`ProgramSet::struct_type`](crate::ProgramSet::struct_type)).
@@ -100,6 +102,101 @@ pub struct CondState {
     pub sema: Handle,
 }
 
+fn is_ref(v: &Value) -> usize {
+    usize::from(matches!(v, Value::Ref(_)))
+}
+
+/// The payload of [`Object::Slice`]: a growable vector of values that counts
+/// how many of them are [`Value::Ref`]s.
+///
+/// The count is Go's `noscan` span class kept exact per object: Go allocates
+/// pointer-free objects in `noscan` spans and its marker never scans them.
+/// While the count is zero, [`trace`](SliceData::trace) returns at once,
+/// however long the slice is. Masked handles count too, because the marker
+/// still counts them as traversals. Reads go through `Deref` to `[Value]`;
+/// the only mutators, [`push`](SliceData::push) and
+/// [`set`](SliceData::set), keep the count right.
+///
+/// # Example
+///
+/// ```
+/// use golf_heap::Heap;
+/// use golf_runtime::{Object, SliceData, Value};
+///
+/// let mut heap: Heap<Object> = Heap::new();
+/// let ch = heap.alloc(Object::chan(0));
+/// let mut s = SliceData::from(vec![Value::Int(1), Value::Int(2)]);
+/// assert_eq!(s.ref_count(), 0);
+/// s.push(Value::Ref(ch));
+/// assert_eq!(s.ref_count(), 1);
+/// assert_eq!(s.set(2, Value::Nil), Some(Value::Ref(ch)));
+/// assert_eq!((s.ref_count(), s.len()), (0, 3));
+/// ```
+#[derive(Default)]
+pub struct SliceData {
+    vals: Vec<Value>,
+    /// How many of `vals` are `Value::Ref`.
+    refs: usize,
+}
+
+impl SliceData {
+    /// Appends `v`.
+    pub fn push(&mut self, v: Value) {
+        self.refs += is_ref(&v);
+        self.vals.push(v);
+    }
+
+    /// Stores `v` at index `i` and returns the value it replaced, or `None`
+    /// (storing nothing) if `i` is out of range.
+    pub fn set(&mut self, i: usize, v: Value) -> Option<Value> {
+        let slot = self.vals.get_mut(i)?;
+        let old = std::mem::replace(slot, v);
+        self.refs = self.refs + is_ref(&v) - is_ref(&old);
+        Some(old)
+    }
+
+    /// How many elements are [`Value::Ref`]s, masked or not.
+    pub fn ref_count(&self) -> usize {
+        self.refs
+    }
+
+    /// Reports every `Ref` element to `visit`, in index order; returns at
+    /// once when there is none.
+    pub fn trace(&self, visit: &mut dyn FnMut(Handle)) {
+        if self.refs == 0 {
+            debug_assert!(self.vals.iter().all(|v| is_ref(v) == 0), "stale slice ref count");
+            return;
+        }
+        for v in &self.vals {
+            if let Value::Ref(h) = v {
+                visit(*h);
+            }
+        }
+    }
+}
+
+impl From<Vec<Value>> for SliceData {
+    fn from(vals: Vec<Value>) -> Self {
+        let refs = vals.iter().map(is_ref).sum();
+        SliceData { vals, refs }
+    }
+}
+
+impl Deref for SliceData {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        &self.vals
+    }
+}
+
+/// Formats as the bare element list, like the `Vec` it wraps.
+impl fmt::Debug for SliceData {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.vals.fmt(f)
+    }
+}
+
 /// A heap object.
 ///
 /// Every first-class runtime entity that Go would store on its heap is a
@@ -130,7 +227,7 @@ pub enum Object {
         fields: Vec<Value>,
     },
     /// A growable vector of values.
-    Slice(Vec<Value>),
+    Slice(SliceData),
     /// A Go map (deterministically ordered so runs replay exactly).
     Map(BTreeMap<Value, Value>),
     /// A `sync.Once`. Simplification vs Go: a `Do` that observes the flag
@@ -208,13 +305,7 @@ impl Trace for Object {
                     }
                 }
             }
-            Object::Slice(vs) => {
-                for v in vs {
-                    if let Value::Ref(h) = v {
-                        visit(*h);
-                    }
-                }
-            }
+            Object::Slice(vs) => vs.trace(visit),
             Object::Map(m) => {
                 for (k, v) in m {
                     if let Value::Ref(h) = k {
@@ -309,6 +400,6 @@ mod tests {
     #[test]
     fn kinds_are_descriptive() {
         assert_eq!(Object::chan(0).kind(), "chan");
-        assert_eq!(Object::Slice(vec![]).kind(), "slice");
+        assert_eq!(Object::Slice(SliceData::default()).kind(), "slice");
     }
 }

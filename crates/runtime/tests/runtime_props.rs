@@ -1,8 +1,12 @@
 //! Property-based tests of the runtime's concurrency semantics: channel
 //! FIFO order, value conservation across producer/consumer fleets, and
-//! whole-VM determinism.
+//! whole-VM determinism. Also the `Ref` count of slices that lets the
+//! marker skip pointer-free ones.
 
-use golf_runtime::{BinOp, FuncBuilder, ProgramSet, RunStatus, Value, Vm, VmConfig};
+use golf_heap::{Handle, Heap, Trace};
+use golf_runtime::{
+    BinOp, FuncBuilder, Object, ProgramSet, RunStatus, SliceData, Value, Vm, VmConfig,
+};
 use proptest::prelude::*;
 
 /// Builds a producer/consumer program: `producers` goroutines send
@@ -167,7 +171,7 @@ proptest! {
         // Read each looper's progress.
         let Value::Ref(slice) = vm.global(out) else { panic!("no cells") };
         let cells: Vec<_> = match vm.heap().get(slice) {
-            Some(golf_runtime::Object::Slice(vs)) => vs.clone(),
+            Some(golf_runtime::Object::Slice(vs)) => vs.to_vec(),
             _ => panic!("not a slice"),
         };
         prop_assert_eq!(cells.len(), n as usize);
@@ -195,4 +199,53 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
+
+    /// Slices built from random contents, then random push/set sequences
+    /// over Int, Bool, Nil, `Ref` and masked `Ref` values: after
+    /// construction and every operation the `Ref` count equals a naive
+    /// count, and `trace` visits exactly the handles of a naive scan, in its
+    /// order.
+    #[test]
+    fn slice_ref_count_tracks_every_mutation(
+        init in proptest::collection::vec(any::<u8>(), 0..6),
+        ops in proptest::collection::vec((any::<bool>(), any::<u8>(), any::<u8>()), 0..60),
+    ) {
+        let mut heap: Heap<Object> = Heap::new();
+        let targets: Vec<Handle> = (0..3).map(|_| heap.alloc(Object::chan(0))).collect();
+        let value = |code: u8| match code % 8 {
+            0..=2 => Value::Int(i64::from(code / 8 % 4)),
+            3 => Value::Bool(code & 8 != 0),
+            4 => Value::Nil,
+            5 | 6 => Value::Ref(targets[usize::from(code / 8) % 3]),
+            _ => Value::Ref(targets[usize::from(code / 8) % 3].masked()),
+        };
+        let slice = heap.alloc(Object::Slice(SliceData::from(
+            init.iter().map(|&a| value(a)).collect::<Vec<_>>(),
+        )));
+        check_ref_count(&heap, slice);
+        for (push, idx, a) in ops {
+            let a = value(a);
+            let Some(Object::Slice(s)) = heap.get_mut(slice) else { panic!("slice") };
+            if push {
+                s.push(a);
+            } else {
+                // `len` itself is out of range: a no-op returning `None`.
+                let i = usize::from(idx) % (s.len() + 1);
+                let old = s.get(i).copied();
+                prop_assert_eq!(s.set(i, a), old);
+            }
+            check_ref_count(&heap, slice);
+        }
+    }
+}
+
+/// Asserts that the slice's `Ref` count equals a naive count, and that
+/// tracing it visits exactly the handles of a naive scan, in its order.
+fn check_ref_count(heap: &Heap<Object>, slice: Handle) {
+    let Some(Object::Slice(s)) = heap.get(slice) else { panic!("slice") };
+    let naive: Vec<Handle> = s.iter().filter_map(|v| v.as_ref_handle()).collect();
+    assert_eq!(s.ref_count(), naive.len());
+    let mut traced = Vec::new();
+    heap.get(slice).expect("slice").trace(&mut |h| traced.push(h));
+    assert_eq!(traced, naive);
 }
